@@ -31,6 +31,8 @@ EXIT_COMPUTE = 4
 
 PROPERTIES = ("multiplicativity", "heredity", "homological", "liouville",
               "dieudonne", "udl")
+# Smallest total rank at which a property's trial has something to sample.
+_MIN_TOTAL_RANK = {"heredity": 1, "homological": 2, "udl": 1}
 
 
 def _load_matrix(path):
@@ -231,6 +233,12 @@ def cmd_check(args):
         ranks = ranks_from_json([int(r) for r in args.ranks.split(",")], alg.arity)
     except ValueError as exc:
         raise SchemaError(f"bad ranks: {exc}") from exc
+    if args.trials < 1:
+        raise SchemaError(f"--trials must be at least 1, got {args.trials}")
+    need = _MIN_TOTAL_RANK.get(args.property, 0)
+    if ranks.total < need:
+        raise SchemaError(f"{args.property} needs total rank at least {need}, "
+                          f"got {ranks.total}")
     seed = args.seed
     env_seed = os.environ.get("GRADALG_SEED")
     if env_seed is not None:

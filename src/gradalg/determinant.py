@@ -16,7 +16,7 @@ from .errors import (DimensionNotAdmissibleError, GradAlgError, HomogeneityError
 from .grading import GroupElement
 from .matrices import (GradedMatrix, mat_mul, redivide_2x2, require_homogeneous,
                        scalar_mul, unitriangular_g)
-from .quasidet import block_quasidet
+from .quasidet import _principal_name, block_quasidet
 
 
 @dataclass(frozen=True)
@@ -34,46 +34,41 @@ def gdet_blocks(grid, sizes, ring) -> GdetResult:
     Entries of each diagonal quasiminor lie in the commutative degree-0 part,
     so the inner determinant is the classical one.
     """
-    sizes = [s for s in sizes if s > 0]
-    if sum(sizes) != len(grid):
-        raise ValueError("partition does not match the matrix dimension")
-    value = ring.one()
-    factors = []
-    work = grid
-    for step, size in enumerate(sizes):
-        try:
-            q = block_quasidet(work, sizes[step:], 0, 0, ring)
-        except GradAlgError as exc:
-            name = "X^{1..%d,1..%d}" % (step + 1, step + 1)
-            raise RegularityError(
-                f"principal quasiminor at block {step + 1} is undefined "
-                f"(submatrix {name})", principal=name) from exc
-        d = rm.commutative_det(q, ring)
-        factors.append(d)
-        value = value * d
-        work = [row[size:] for row in work[size:]]
-    return GdetResult(value, tuple(factors))
+    sizes = _nonempty_blocks(grid, sizes)
+    p = len(sizes)
+    return _quasiminor_product(grid, sizes, ring, [(k, p, k) for k in range(p)])
 
 
 def gdet_blocks_ldu(grid, sizes, ring) -> GdetResult:
-    """The LDU route: prod_k det |X^{k+1..q,k+1..q}|_{kk} over leading
+    """The LDU route: prod_k det |X^{k+1..p,k+1..p}|_{kk} over leading
     principal submatrices; equals the UDL route wherever both are defined."""
+    sizes = _nonempty_blocks(grid, sizes)
+    return _quasiminor_product(grid, sizes, ring, [(0, k + 1, k) for k in range(len(sizes))])
+
+
+def _nonempty_blocks(grid, sizes):
     sizes = [s for s in sizes if s > 0]
     if sum(sizes) != len(grid):
         raise ValueError("partition does not match the matrix dimension")
+    return sizes
+
+
+def _quasiminor_product(grid, sizes, ring, windows):
+    """Product of det |X_W|_{kk} over ``windows`` of (lo, hi, k): X_W is the
+    principal submatrix on blocks lo..hi-1 and k is one of its end blocks."""
+    off = list(itertools.accumulate(sizes, initial=0))
     value = ring.one()
     factors = []
-    offset = 0
-    for k, size in enumerate(sizes):
-        offset += size
-        lead = [row[:offset] for row in grid[:offset]]
+    for lo, hi, k in windows:
+        a, b = off[lo], off[hi]
+        window = [row[a:b] for row in grid[a:b]]
         try:
-            q = block_quasidet(lead, sizes[: k + 1], k, k, ring)
+            q = block_quasidet(window, sizes[lo:hi], k - lo, k - lo, ring)
         except GradAlgError as exc:
-            name = "X^{%d..q,%d..q}" % (k + 2, k + 2)
+            name = _principal_name({*range(lo), k, *range(hi, len(sizes))})
             raise RegularityError(
-                f"leading quasiminor at block {k + 1} is undefined "
-                f"(submatrix {name})", principal=name) from exc
+                f"quasiminor at block {k + 1} is undefined (submatrix {name})",
+                principal=name) from exc
         d = rm.commutative_det(q, ring)
         factors.append(d)
         value = value * d
@@ -130,7 +125,8 @@ def gdet_graded(X: GradedMatrix, strict: bool = True):
         if strict:
             raise DimensionNotAdmissibleError(
                 f"|r| = {total} is {total % 4} mod 4; nonzero-degree determinants "
-                "are not multiplicative there")
+                "are multiplicative there only up to the sign (-1)^(<x,y> n(n-1)/2), "
+                "which is -1 for factor degrees with odd <x,y>")
         warnings.warn(
             f"nonzero-degree determinant at |r| = {total} is well-defined and "
             "multiplicative up to the sign (-1)^(<x,y> n(n-1)/2)", stacklevel=2)

@@ -25,7 +25,8 @@ class RegularityError(GradAlgError):
 
 class DimensionNotAdmissibleError(GradAlgError):
     """Strict mode rejects nonzero-degree determinants when the total dimension
-    is 2 or 3 mod 4 (multiplicativity would fail)."""
+    n is 2 or 3 mod 4.  There gdet(XY) = (-1)^(<x,y> n(n-1)/2) gdet(X) gdet(Y),
+    so multiplicativity fails only for factor degrees with odd <x,y>."""
 
 
 class HomogeneityError(GradAlgError):

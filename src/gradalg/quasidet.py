@@ -9,16 +9,10 @@ through the flat elimination kernel with block-aware index maps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import NotInvertibleError, RegularityError, SubmatrixNotInvertibleError
 from . import ringmat as rm
-
-
-def _offsets(sizes):
-    out = [0]
-    for s in sizes:
-        out.append(out[-1] + s)
-    return out
 
 
 def quasidet(grid, i: int, j: int, ring):
@@ -30,23 +24,7 @@ def quasidet(grid, i: int, j: int, ring):
     n = len(grid)
     if any(len(row) != n for row in grid):
         raise ValueError("quasideterminant needs a square matrix")
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexError("entry index out of range")
-    if n == 1:
-        return grid[0][0]
-    sub = rm.submatrix(grid, {i}, {j})
-    try:
-        inv = rm.mat_inverse(sub, ring)
-    except NotInvertibleError as exc:
-        raise SubmatrixNotInvertibleError(
-            f"submatrix X^{{{i},{j}}} is not invertible") from exc
-    row = [grid[i][c] for c in range(n) if c != j]
-    col = [grid[r][j] for r in range(n) if r != i]
-    acc = grid[i][j]
-    for a in range(n - 1):
-        for b in range(n - 1):
-            acc = acc - row[a] * inv[a][b] * col[b]
-    return acc
+    return block_quasidet(grid, (1,) * n, i, j, ring)[0][0]
 
 
 def block_quasidet(grid, sizes, k: int, u: int, ring):
@@ -58,7 +36,7 @@ def block_quasidet(grid, sizes, k: int, u: int, ring):
     p = len(sizes)
     if not (0 <= k < p and 0 <= u < p):
         raise IndexError("block index out of range")
-    off = _offsets(sizes)
+    off = list(accumulate(sizes, initial=0))
     rows_k = range(off[k], off[k + 1])
     cols_u = range(off[u], off[u + 1])
     corner = [[grid[r][c] for c in cols_u] for r in rows_k]
@@ -70,8 +48,8 @@ def block_quasidet(grid, sizes, k: int, u: int, ring):
     except NotInvertibleError as exc:
         raise SubmatrixNotInvertibleError(
             f"block submatrix X^{{{k},{u}}} is not invertible") from exc
-    rest_cols = [c for c in range(len(grid)) if c not in set(cols_u)]
-    rest_rows = [r for r in range(len(grid)) if r not in set(rows_k)]
+    rest_cols = [c for c in range(len(grid)) if c not in cols_u]
+    rest_rows = [r for r in range(len(grid)) if r not in rows_k]
     R = [[grid[r][c] for c in rest_cols] for r in rows_k]
     C = [[grid[r][c] for c in cols_u] for r in rest_rows]
     return rm.mat_sub(corner, rm.mat_mul(R, rm.mat_mul(inv, C)))
@@ -82,7 +60,7 @@ def invert_2x2_block(grid, sizes, ring):
     built on z^{-1} and (y - d z^{-1} f)^{-1}."""
     if len(sizes) != 2:
         raise ValueError("expected a 2-block partition")
-    off = _offsets(sizes)
+    off = list(accumulate(sizes, initial=0))
     if off[2] != len(grid):
         raise ValueError("partition does not match the matrix dimension")
     y = [row[: off[1]] for row in grid[: off[1]]]
@@ -105,7 +83,7 @@ def invert_3block(grid, sizes, ring):
     blocks, through D^{-1} and the inverse of the corner matrix ((A,B),(F,G))."""
     if len(sizes) != 3:
         raise ValueError("expected a 3-block partition")
-    off = _offsets(sizes)
+    off = list(accumulate(sizes, initial=0))
     if off[3] != len(grid):
         raise ValueError("partition does not match the matrix dimension")
 
@@ -161,50 +139,30 @@ def udl_decompose(grid, sizes, ring) -> TriangularFactors:
     """Block UDL decomposition: X = U D L with U upper and L lower
     unitriangular and D_kk the principal quasiminor |X^{1..k-1,1..k-1}|_{kk}.
 
-    Requires the trailing principal submatrices to be invertible; the first
-    failure is reported by name.
+    Requires the trailing principal submatrices to be invertible; the
+    smallest one that is not is reported by name.  Reversing the block order
+    turns a UDL factorization into an LDU one, and both are unique, so this
+    is the LDU decomposition of the block-reversed matrix, reversed back.
     """
-    U, D, L = _udl(grid, list(sizes), ring, 0)
-    return TriangularFactors(U, D, L, rm.mat_mul(U, D), rm.mat_mul(D, L))
-
-
-def _udl(grid, sizes, ring, depth):
+    sizes = list(sizes)
     _check_partition(grid, sizes)
-    n = len(grid)
-    if len(sizes) == 1:
-        return rm.identity(ring, n), rm.copy_grid(grid), rm.identity(ring, n)
-    s0 = sizes[0]
-    A = [row[:s0] for row in grid[:s0]]
-    B = [row[s0:] for row in grid[:s0]]
-    C = [row[:s0] for row in grid[s0:]]
-    D_hat = [row[s0:] for row in grid[s0:]]
-    try:
-        D_inv = rm.mat_inverse(D_hat, ring)
-    except NotInvertibleError as exc:
-        first = depth + 1
-        name = "X^{1..%d,1..%d}" % (first, first)
-        raise RegularityError(
-            f"principal block submatrix {name} is not invertible", principal=name) from exc
-    schur = rm.mat_sub(A, rm.mat_mul(B, rm.mat_mul(D_inv, C)))
-    U_in, D_in, L_in = _udl(D_hat, sizes[1:], ring, depth + 1)
-    upper_right = rm.mat_mul(B, rm.mat_mul(D_inv, U_in))
-    lower_left = rm.mat_mul(L_in, rm.mat_mul(D_inv, C))
-    z_up = rm.zeros(ring, n - s0, s0)
-    z_right = rm.zeros(ring, s0, n - s0)
-    U = _assemble([[rm.identity(ring, s0), upper_right], [z_up, U_in]])
-    D = _assemble([[schur, z_right], [z_up, D_in]])
-    L = _assemble([[rm.identity(ring, s0), z_right], [lower_left, L_in]])
-    return U, D, L
+    rsizes = sizes[::-1]
+    labels = range(len(sizes))[::-1]
+    L, D, U = _ldu(_block_reverse(grid, sizes), rsizes, ring, labels)
+    U, D, L = (_block_reverse(M, rsizes) for M in (L, D, U))
+    return TriangularFactors(U, D, L, rm.mat_mul(U, D), rm.mat_mul(D, L))
 
 
 def ldu_decompose(grid, sizes, ring) -> TriangularFactors:
     """Mirror decomposition X = L D U with D_kk the quasiminor of the leading
     k-block principal submatrix at its last block."""
-    L, D, U = _ldu(grid, list(sizes), ring, 0)
+    L, D, U = _ldu(grid, list(sizes), ring, range(len(sizes)))
     return TriangularFactors(U, D, L, rm.mat_mul(D, U), rm.mat_mul(L, D))
 
 
-def _ldu(grid, sizes, ring, depth):
+def _ldu(grid, sizes, ring, labels):
+    """Recursive Schur elimination of the first block; ``labels`` are the
+    input's 0-based block numbers of the blocks of ``grid``."""
     _check_partition(grid, sizes)
     n = len(grid)
     if len(sizes) == 1:
@@ -217,12 +175,11 @@ def _ldu(grid, sizes, ring, depth):
     try:
         A_inv = rm.mat_inverse(A, ring)
     except NotInvertibleError as exc:
-        name = "X^{%d..p,%d..p}" % (depth + 2, depth + 2)
+        name = _principal_name(labels[1:])
         raise RegularityError(
-            f"leading principal block submatrix (depth {depth + 1}, {name}) "
-            "is not invertible", principal=name) from exc
+            f"principal block submatrix {name} is not invertible", principal=name) from exc
     schur = rm.mat_sub(D_hat, rm.mat_mul(C, rm.mat_mul(A_inv, B)))
-    L_in, D_in, U_in = _ldu(schur, sizes[1:], ring, depth + 1)
+    L_in, D_in, U_in = _ldu(schur, sizes[1:], ring, labels[1:])
     lower_left = rm.mat_mul(C, A_inv)
     upper_right = rm.mat_mul(A_inv, B)
     z_up = rm.zeros(ring, n - s0, s0)
@@ -231,6 +188,20 @@ def _ldu(grid, sizes, ring, depth):
     D = _assemble([[A, z_right], [z_up, D_in]])
     U = _assemble([[rm.identity(ring, s0), upper_right], [z_up, U_in]])
     return L, D, U
+
+
+def _block_reverse(grid, sizes):
+    """The matrix with its block rows and block columns in reverse order."""
+    off = list(accumulate(sizes, initial=0))
+    order = [i for k in reversed(range(len(sizes))) for i in range(off[k], off[k + 1])]
+    return [[grid[r][c] for c in order] for r in order]
+
+
+def _principal_name(deleted):
+    """X^{a..b,a..b} for a contiguous run of 0-based block numbers: deleting
+    those blocks leaves the principal submatrix that failed to invert."""
+    a, b = min(deleted) + 1, max(deleted) + 1
+    return f"X^{{{a}..{b},{a}..{b}}}"
 
 
 def _check_partition(grid, sizes):

@@ -60,13 +60,6 @@ def mat_scale_left(s, a):
     return [[s * x for x in row] for row in a]
 
 
-def mat_pow(grid, k: int, ring):
-    acc = identity(ring, len(grid))
-    for _ in range(k):
-        acc = mat_mul(acc, grid)
-    return acc
-
-
 def grids_equal(a, b) -> bool:
     if len(a) != len(b):
         return False

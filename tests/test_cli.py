@@ -231,6 +231,16 @@ class TestCheckCommand:
         assert main(["check", "--property", "udl", "--trials", "1"]) == 1
         assert json.loads(capsys.readouterr().out)["all_pass"] is False
 
+    @pytest.mark.parametrize("prop,ranks,trials", [
+        ("multiplicativity", "1,1,1,1", "0"), ("udl", "1,1,1,1", "-3"),
+        ("udl", "0,0,0,0", "1"), ("homological", "1,0,0,0", "1"),
+        ("heredity", "0,0,0,0", "1"), ("homological", "0,0,0,0", "1")])
+    def test_degenerate_input_is_schema_error(self, prop, ranks, trials, capsys):
+        assert main(["check", "--property", prop, "--trials", trials,
+                     "--ranks", ranks]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("schema error:")
+
     def test_report_is_canonical_json(self, capsys):
         main(["check", "--property", "udl", "--trials", "1", "--seed", "5"])
         raw = capsys.readouterr().out

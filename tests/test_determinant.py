@@ -13,8 +13,8 @@ from gradalg import (DimensionNotAdmissibleError, GradedMatrix, GroupElement,
                      elementary_sandwich_check, gdet0,
                      gdet_certified, gdet_graded, gdet_ldu, identity_matrix,
                      mat_mul, multilinear_coefficients, normalized_coefficients,
-                     row_monomial_product, row_reduce_g, scalar_mul,
-                     unitriangular_g)
+                     ldu_decompose, row_monomial_product, row_reduce_g,
+                     scalar_mul, udl_decompose, unitriangular_g)
 from gradalg import ringmat as rm
 from gradalg.randgen import random_invertible, random_matrix
 
@@ -147,17 +147,27 @@ class TestAxioms:
             assert whole == split
 
     def test_certificate_factors_multiply(self, H, rng):
+        # factor k is det D_kk of the decomposition of the same block order
         rk = rank_even((0, 2, 1, 1))
+        sizes = [s for s in rk.ranks if s > 0]
+        off = (0, 2, 3, 4)
+        routes = (("udl", udl_decompose), ("ldu", ldu_decompose))
         while True:
             X = random_invertible(rng, H, rk)
             try:
-                res = gdet_certified(X)
+                results = [(gdet_certified(X, route), decompose(X.grid(), sizes, H))
+                           for route, decompose in routes]
             except RegularityError:
                 continue
-            prod = H.one()
-            for f in res.factors:
-                prod = prod * f
-            assert prod == res.value
+            for res, fac in results:
+                prod = H.one()
+                for f in res.factors:
+                    prod = prod * f
+                assert prod == res.value
+                assert len(res.factors) == len(sizes)
+                for k, f in enumerate(res.factors):
+                    block = [row[off[k]:off[k + 1]] for row in fac.D[off[k]:off[k + 1]]]
+                    assert f == rm.commutative_det(block, H)
             return
 
     def test_requires_degree_zero_and_even(self, H, units, EH):

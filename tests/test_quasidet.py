@@ -7,10 +7,11 @@ from fractions import Fraction
 import pytest
 
 from gradalg import (NotInvertibleError, RegularityError,
-                     SubmatrixNotInvertibleError, block_quasidet,
+                     SubmatrixNotInvertibleError, block_quasidet, gdet_blocks,
                      invert_2x2_block, invert_3block, ldu_decompose, quasidet,
                      udl_decompose)
 from gradalg import ringmat as rm
+from gradalg.determinant import gdet_blocks_ldu
 
 from conftest import random_quaternion, random_rational
 
@@ -378,9 +379,23 @@ class TestUDL:
             assert rm.grids_equal(fac.L, L)
             done += 1
 
-    def test_regularity_failure_names_submatrix(self, Q):
+    @pytest.mark.parametrize("func,order", [
+        (udl_decompose, "udl"), (gdet_blocks, "udl"),
+        (ldu_decompose, "ldu"), (gdet_blocks_ldu, "ldu")],
+        ids=["udl_decompose", "gdet_blocks", "ldu_decompose", "gdet_blocks_ldu"])
+    def test_regularity_failure_names_submatrix(self, func, order, Q):
+        # X^{a..b,a..b} deletes blocks a..b; what is left failed to invert
         zero, one = Q.zero(), Q.scalar(1)
-        g = [[one, one, one], [one, zero, zero], [one, zero, zero]]
-        with pytest.raises(RegularityError) as info:
-            udl_decompose(g, (1, 1, 1), Q)
-        assert info.value.principal is not None
+        # all ones: blocks 1 and 3 invert, blocks 1..2 and 2..3 do not
+        ones = [[one] * 3 for _ in range(3)]
+        # a zero in the corner the route inverts first
+        corner = ([[one, one], [one, zero]] if order == "udl"
+                  else [[zero, one], [one, one]])
+        want = {"udl": ("X^{1..1,1..1}", "X^{1..1,1..1}"),
+                "ldu": ("X^{3..3,3..3}", "X^{2..2,2..2}")}[order]
+        for grid, sizes, name in ((ones, (1, 1, 1), want[0]),
+                                  (corner, (1, 1), want[1])):
+            with pytest.raises(RegularityError) as info:
+                func(grid, sizes, Q)
+            assert info.value.principal == name
+            assert name in str(info.value)
