@@ -7,7 +7,7 @@ from __future__ import annotations
 from . import ringmat as rm
 from .errors import NotInvertibleError, RegularityError
 from .matrices import GradedMatrix, redivide_2x2, require_homogeneous
-from .determinant import gdet_blocks, gdet_blocks_ldu
+from .determinant import _is_elementary, gdet_blocks, gdet_blocks_ldu
 from .series import NilpotentPoly, SeriesRing, nilpotent_exp
 from .trace import gtr
 
@@ -22,70 +22,34 @@ def _gdet_either_route(grid, sizes, ring):
         return gdet_blocks_ldu(grid, sizes, ring).value
 
 
-def _strip_grid(grid):
-    return [[v.strip_odd() for v in row] for row in grid]
-
-
-def _odd_generator_count(ring):
-    base = getattr(ring, "base", ring)
-    return base.num_odd
-
-
-def _block_diag_strip_inverse(X: GradedMatrix):
-    """Inverse of X mod the odd ideal, lifted back: the stripped matrix is
-    block diagonal under the parity redivision, so invert the two corners.
-    Returns None when either corner fails to invert."""
-    r = redivide_2x2(X, "parity")
-    split = r.row_split
-    n = X.row_ranks.total
-    out = rm.zeros(X.ring, n, n)
-    corners = ((0, r.x11), (split, r.x22))
-    for base, corner in corners:
-        size = corner.shape[0]
-        if size == 0:
-            continue
-        stripped = _strip_grid(corner.grid())
-        try:
-            inv = rm.mat_inverse(stripped, X.ring)
-        except NotInvertibleError:
-            return None
-        for i in range(size):
-            for j in range(size):
-                out[base + i][base + j] = inv[i][j]
-    return out
-
-
 def is_invertible0(X: GradedMatrix) -> bool:
     """True iff both parity-diagonal blocks are invertible modulo the odd
     ideal, which characterizes invertibility of a degree-0 matrix."""
     _require_degree0(X)
-    return _block_diag_strip_inverse(X) is not None
+    r = redivide_2x2(X, "parity")
+    # the stripped matrix is block diagonal; eliminating on the full grid
+    # would carry the zero off-diagonal blocks through every row operation
+    for corner in (r.x11, r.x22):
+        if corner.shape[0] == 0:
+            continue
+        try:
+            rm.mat_inverse([[v.strip_odd() for v in row] for row in corner.entries],
+                           X.ring)
+        except NotInvertibleError:
+            return False
+    return True
 
 
 def invert0(X: GradedMatrix) -> GradedMatrix:
-    """Inverse of an invertible degree-0 matrix via the nilpotent lift.
+    """Inverse of an invertible degree-0 matrix through the elimination kernel.
 
-    With Z0 the stripped block-diagonal inverse, X Z0 = I + W where W runs
-    over the odd ideal and is nilpotent, so X^{-1} = Z0 (I + sum (-W)^k).
+    Reduction mod the odd ideal is a ring homomorphism and an entry is
+    invertible exactly when its reduction is, so elimination picks the same
+    pivots on X as on its reduction and succeeds exactly when is_invertible0
+    holds; the nilpotent lift happens inside each pivot's inverse().
     """
     _require_degree0(X)
-    z0 = _block_diag_strip_inverse(X)
-    if z0 is None:
-        raise NotInvertibleError(
-            "a parity-diagonal block is singular modulo the odd ideal")
-    n = X.row_ranks.total
-    w = rm.mat_sub(rm.mat_mul(X.grid(), z0), rm.identity(X.ring, n))
-    cap = (_odd_generator_count(X.ring) + 1) * max(n, 1)
-    series = rm.identity(X.ring, n)
-    power = rm.identity(X.ring, n)
-    neg_w = rm.mat_neg(w)
-    for _ in range(cap):
-        power = rm.mat_mul(power, neg_w)
-        if rm.is_zero_grid(power):
-            break
-        series = rm.mat_add(series, power)
-    inv = rm.mat_mul(z0, series)
-    return X.with_entries(inv)
+    return X.with_entries(rm.mat_inverse(X.grid(), X.ring))
 
 
 def gber(X: GradedMatrix):
@@ -124,9 +88,7 @@ def odd_sandwich_check(X: GradedMatrix, Y: GradedMatrix):
     rx = redivide_2x2(X, "parity")
     ry = redivide_2x2(Y, "parity")
     a, b = rx.x12, ry.x21
-    nonzero_a = sum(1 for row in a.entries for v in row if not v.is_zero)
-    nonzero_b = sum(1 for row in b.entries for v in row if not v.is_zero)
-    if min(nonzero_a, nonzero_b) > 1:
+    if not (_is_elementary(a) or _is_elementary(b)):
         raise ValueError("one off-diagonal factor must be elementary")
     even_sizes = [s for s in X.row_ranks.even_sizes if s > 0]
     odd_sizes = [s for s in X.row_ranks.odd_sizes if s > 0]

@@ -14,7 +14,8 @@ import random
 import sys
 
 from .berezinian import gber, liouville_check
-from .determinant import gdet_certified, gdet_graded, multilinear_coefficients
+from .determinant import (gdet_certified, gdet_graded, multilinear_coefficients,
+                          normalized_coefficients)
 from .dieudonne import ddet_squared
 from .errors import GradAlgError, HomogeneityError, SchemaError
 from .jsonio import (canonical_json, matrix_digest, matrix_from_json,
@@ -77,13 +78,9 @@ def cmd_gdet(args):
 
 def cmd_gdet_coeffs(args):
     pattern = _load_matrix(args.pattern)
-    coeffs = multilinear_coefficients(pattern)
+    oracle = normalized_coefficients if args.normalized else multilinear_coefficients
     table = [{"perm": list(sigma), "coeff": _scalar_json(c)}
-             for sigma, c in sorted(coeffs.items())]
-    if args.normalized:
-        from .determinant import normalized_coefficients
-        table = [{"perm": list(sigma), "coeff": _scalar_json(c)}
-                 for sigma, c in sorted(normalized_coefficients(pattern).items())]
+             for sigma, c in sorted(oracle(pattern).items())]
     _emit({"coefficients": table, "normalized": bool(args.normalized)})
     return EXIT_OK
 

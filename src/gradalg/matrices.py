@@ -101,18 +101,7 @@ class GradedMatrix:
             raise ValueError(f"entry grid must be {rows}x{cols}")
         object.__setattr__(self, "entries", ent)
 
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def build(ring, ranks: RankVector, degree: GroupElement, entries,
-              col_ranks: RankVector = None) -> "GradedMatrix":
-        return GradedMatrix(ring, ranks, col_ranks or ranks, degree, entries)
-
     # -- shape -------------------------------------------------------------
-
-    @property
-    def ranks(self) -> RankVector:
-        return self.row_ranks
 
     @property
     def is_square(self) -> bool:
@@ -124,13 +113,6 @@ class GradedMatrix:
 
     def grid(self):
         return [list(row) for row in self.entries]
-
-    def entry(self, r, c):
-        return self.entries[r][c]
-
-    def block(self, k: int, u: int):
-        ro, co = self.row_ranks.offsets, self.col_ranks.offsets
-        return [list(row[co[u]: co[u + 1]]) for row in self.entries[ro[k]: ro[k + 1]]]
 
     def with_entries(self, grid, degree=None) -> "GradedMatrix":
         return GradedMatrix(self.ring, self.row_ranks, self.col_ranks,
@@ -350,8 +332,6 @@ class Redivision:
     x12: GradedMatrix
     x21: GradedMatrix
     x22: GradedMatrix
-    row_split: int
-    col_split: int
 
 
 def redivide_2x2(X: GradedMatrix, mode: str = "parity") -> Redivision:
@@ -397,8 +377,7 @@ def redivide_2x2(X: GradedMatrix, mode: str = "parity") -> Redivision:
         corner(top, top, rows_top, rows_top),
         corner(top, bottom, rows_top, rows_bot),
         corner(bottom, top, rows_bot, rows_top),
-        corner(bottom, bottom, rows_bot, rows_bot),
-        split, split)
+        corner(bottom, bottom, rows_bot, rows_bot))
 
 
 def _same_module(X: GradedMatrix, Y: GradedMatrix):

@@ -165,7 +165,7 @@ def _ldu(grid, sizes, ring, labels):
     input's 0-based block numbers of the blocks of ``grid``."""
     _check_partition(grid, sizes)
     n = len(grid)
-    if len(sizes) == 1:
+    if len(sizes) < 2:
         return rm.identity(ring, n), rm.copy_grid(grid), rm.identity(ring, n)
     s0 = sizes[0]
     A = [row[:s0] for row in grid[:s0]]

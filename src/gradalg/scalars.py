@@ -126,13 +126,6 @@ class Algebra:
             out.setdefault(deg, []).append(key)
         return {deg: tuple(sorted(keys)) for deg, keys in out.items()}
 
-    def _odd_mask_degree_mask(self, odd_mask: int) -> int:
-        mask = 0
-        for t in range(self.num_odd):
-            if odd_mask >> t & 1:
-                mask ^= self.odd_degrees[t].mask
-        return mask
-
     # -- monomial products ---------------------------------------------------
 
     def _mul_monomials(self, key1, key2):
@@ -144,7 +137,7 @@ class Algebra:
         sign = 1
         # move the Clifford part of the right factor across the left odd part
         if t1 and m2:
-            d_odd = self._odd_mask_degree_mask(t1)
+            d_odd = self.monomial_degree(0, t1).mask
             d_cl = self.monomial_degree(m2, 0).mask
             if (d_odd & d_cl).bit_count() & 1:
                 sign = -sign

@@ -1,5 +1,5 @@
-"""Graded Berezinian: the odd-ideal invertibility test with its nilpotent
-lift, the defining axioms, multiplicativity, the classical reduction, and the
+"""Graded Berezinian: the odd-ideal invertibility test and the inverse it
+admits, the defining axioms, multiplicativity, the classical reduction, and the
 Liouville identity over the truncated zeta ring."""
 
 from fractions import Fraction
@@ -61,6 +61,44 @@ class TestInvertibility:
         assert not is_invertible0(X)
         with pytest.raises(NotInvertibleError):
             invert0(X)
+
+    def test_nilpotent_entry_is_skipped_as_pivot(self, EH):
+        # the (1,1) entry i theta1 theta2 is nonzero but strips to zero, so
+        # elimination must take its pivot from the second row
+        from gradalg import check_homogeneous, quaternion_units
+        i, _, _ = quaternion_units(EH)
+        t12 = EH.odd_generator(1) * EH.odd_generator(2)
+        rk = RankVector(3, (0, 0, 0, 0, 1, 1, 0, 0))
+        grid = [[i * t12, i * 2], [i * 3 + t12, EH.one() + i * t12 * 2]]
+        X = GradedMatrix(EH, rk, rk, GroupElement.zero(3), grid)
+        assert check_homogeneous(X)
+        assert is_invertible0(X)
+        inv = invert0(X).grid()
+        assert rm.grids_equal(rm.mat_mul(X.grid(), inv), rm.identity(EH, 2))
+        assert rm.grids_equal(rm.mat_mul(inv, X.grid()), rm.identity(EH, 2))
+
+    @pytest.mark.parametrize("ranks", [(1, 1, 1, 1, 1, 1, 0, 0),
+                                       (1, 0, 1, 1, 1, 1, 1, 0)])
+    def test_refuses_exactly_the_singular(self, EH, ranks):
+        # entries zeroed at random make both outcomes common
+        import random
+        rng = random.Random(4401)
+        rk = RankVector(3, ranks)
+        n = rk.total
+        refused = 0
+        for _ in range(24):
+            grid = [[EH.zero() if rng.random() < 0.3 else v for v in row]
+                    for row in random_matrix(rng, EH, rk).entries]
+            X = GradedMatrix(EH, rk, rk, GroupElement.zero(3), grid)
+            if not is_invertible0(X):
+                refused += 1
+                with pytest.raises(NotInvertibleError):
+                    invert0(X)
+                continue
+            inv = invert0(X).grid()
+            assert rm.grids_equal(rm.mat_mul(X.grid(), inv), rm.identity(EH, n))
+            assert rm.grids_equal(rm.mat_mul(inv, X.grid()), rm.identity(EH, n))
+        assert 0 < refused < 24
 
     def test_inverse_is_two_sided(self, EH, rng):
         for _ in range(5):

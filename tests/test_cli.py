@@ -145,6 +145,24 @@ class TestSubcommands:
         # row-major abstract signs: the swap of the last two indices is -1
         assert by_perm[(0, 1, 3, 2)] == [{"den": 1, "mask": 0, "num": -1}]
 
+    def test_gdet_coeffs_normalized_runs_the_oracle_once(self, tmp_path, H, capsys,
+                                                         monkeypatch):
+        from gradalg import determinant
+        calls = []
+        original = determinant.multilinear_coefficients
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(determinant, "multilinear_coefficients", counted)
+        monkeypatch.setattr("gradalg.cli.multilinear_coefficients", counted)
+        path = tmp_path / "pattern.json"
+        path.write_text(json.dumps(matrix_to_json(unit_pattern_1111(H))))
+        assert main(["gdet-coeffs", "--pattern", str(path), "--normalized"]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
+
     def test_gber_over_extension_ring(self, tmp_path, EH, capsys):
         from gradalg import RankVector
         from gradalg.randgen import random_invertible

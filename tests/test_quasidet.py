@@ -379,6 +379,14 @@ class TestUDL:
             assert rm.grids_equal(fac.L, L)
             done += 1
 
+    @pytest.mark.parametrize("func", [udl_decompose, ldu_decompose],
+                             ids=["udl_decompose", "ldu_decompose"])
+    def test_empty_partition(self, func, H):
+        # the 0x0 matrix factors into empty grids, as gdet_blocks gives it 1
+        fac = func([], (), H)
+        assert (fac.U, fac.D, fac.L, fac.frak_u, fac.frak_l) == ([], [], [], [], [])
+        assert gdet_blocks([], (), H).value == H.one()
+
     @pytest.mark.parametrize("func,order", [
         (udl_decompose, "udl"), (gdet_blocks, "udl"),
         (ldu_decompose, "ldu"), (gdet_blocks_ldu, "ldu")],
