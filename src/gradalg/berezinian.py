@@ -7,7 +7,7 @@ from __future__ import annotations
 from . import ringmat as rm
 from .errors import NotInvertibleError, RegularityError
 from .matrices import GradedMatrix, redivide_2x2, require_homogeneous
-from .determinant import _is_elementary, gdet_blocks, gdet_blocks_ldu
+from .determinant import _sandwich_check, gdet_blocks, gdet_blocks_ldu
 from .series import NilpotentPoly, SeriesRing, nilpotent_exp
 from .trace import gtr
 
@@ -85,20 +85,7 @@ def odd_sandwich_check(X: GradedMatrix, Y: GradedMatrix):
     """Both sides of gdet(I - X12 Y21) = gdet(I + Y21 X12) under the parity
     redivision, with one elementary odd factor; the sign flip against the
     even-halves identity comes from the oddness of the off-blocks."""
-    rx = redivide_2x2(X, "parity")
-    ry = redivide_2x2(Y, "parity")
-    a, b = rx.x12, ry.x21
-    if not (_is_elementary(a) or _is_elementary(b)):
-        raise ValueError("one off-diagonal factor must be elementary")
-    even_sizes = [s for s in X.row_ranks.even_sizes if s > 0]
-    odd_sizes = [s for s in X.row_ranks.odd_sizes if s > 0]
-    lhs_grid = rm.mat_sub(rm.identity(X.ring, a.shape[0]),
-                          rm.mat_mul(a.grid(), b.grid()))
-    rhs_grid = rm.mat_add(rm.identity(X.ring, b.shape[0]),
-                          rm.mat_mul(b.grid(), a.grid()))
-    lhs = gdet_blocks(lhs_grid, even_sizes, X.ring).value
-    rhs = gdet_blocks(rhs_grid, odd_sizes, X.ring).value
-    return lhs, rhs
+    return _sandwich_check(X, Y, "parity", rm.mat_sub)
 
 
 # -- Liouville formula ------------------------------------------------------

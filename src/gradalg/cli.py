@@ -8,19 +8,24 @@ violation, 4 computation error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
 import sys
 
+from . import ringmat as rm
 from .berezinian import gber, liouville_check
-from .determinant import (gdet_certified, gdet_graded, multilinear_coefficients,
+from .determinant import (gdet0, gdet_certified, gdet_graded, multilinear_coefficients,
                           normalized_coefficients)
 from .dieudonne import ddet_squared
-from .errors import GradAlgError, HomogeneityError, SchemaError
+from .errors import (GradAlgError, HomogeneityError, NotInvertibleError,
+                     RegularityError, SchemaError)
 from .jsonio import (canonical_json, matrix_digest, matrix_from_json,
                      ranks_from_json, terms_to_json)
 from .matrices import mat_mul
+from .quasidet import block_quasidet, quasidet, udl_decompose
+from .randgen import MAX_DRAWS, random_invertible, random_matrix
 from .scalars import quaternions
 from .trace import gtr
 
@@ -107,121 +112,111 @@ def cmd_liouville(args):
     return EXIT_OK if passed else EXIT_PROPERTY
 
 
-def _trial_multiplicativity(rng, alg, ranks):
-    from .determinant import gdet0
-    from .errors import RegularityError
-    from .randgen import random_invertible
-    while True:
-        X = random_invertible(rng, alg, ranks)
-        Y = random_invertible(rng, alg, ranks)
-        try:
-            ok = gdet0(mat_mul(X, Y)) == gdet0(X) * gdet0(Y)
-        except RegularityError:
-            continue
-        return ok, (X, Y)
+def _draw_invertible_pair(rng, alg, ranks):
+    return (random_invertible(rng, alg, ranks), random_invertible(rng, alg, ranks)), ()
 
 
-def _trial_heredity(rng, alg, ranks):
-    from .errors import NotInvertibleError, SubmatrixNotInvertibleError
-    from .quasidet import block_quasidet, quasidet
-    from .randgen import random_matrix
-    sizes = [s for s in ranks.ranks if s > 0]
-    while True:
-        X = random_matrix(rng, alg, ranks)
-        grid = X.grid()
-        k = rng.randrange(len(sizes))
-        base = sum(sizes[:k])
-        try:
-            inner = block_quasidet(grid, sizes, k, k, alg)
-            ok = True
-            for a in range(sizes[k]):
-                for b in range(sizes[k]):
-                    lhs = quasidet(inner, a, b, alg)
-                    rhs = quasidet(grid, base + a, base + b, alg)
-                    ok = ok and lhs == rhs
-        except (SubmatrixNotInvertibleError, NotInvertibleError):
-            continue
-        return ok, (X,)
+def _draw_invertible(rng, alg, ranks):
+    return (random_invertible(rng, alg, ranks),), ()
 
 
-def _trial_homological(rng, alg, ranks):
-    from .errors import NotInvertibleError, SubmatrixNotInvertibleError
-    from .quasidet import quasidet
-    from .randgen import random_matrix
+def _draw_matrix(rng, alg, ranks):
+    return (random_matrix(rng, alg, ranks),), ()
+
+
+def _draw_block(rng, alg, ranks):
+    X = random_matrix(rng, alg, ranks)
+    return (X,), (rng.randrange(len(_nonempty(ranks))),)
+
+
+def _draw_homological(rng, alg, ranks):
     n = ranks.total
-    while True:
-        X = random_matrix(rng, alg, ranks)
-        grid = X.grid()
-        i, j = rng.randrange(n), rng.randrange(n)
-        l = rng.choice([c for c in range(n) if c != j])
-        r = rng.choice([a for a in range(n) if a != i])
-        s = rng.choice([c for c in range(n) if c != j])
+    X = random_matrix(rng, alg, ranks)
+    i, j = rng.randrange(n), rng.randrange(n)
+    l = rng.choice([c for c in range(n) if c != j])
+    r = rng.choice([a for a in range(n) if a != i])
+    s = rng.choice([c for c in range(n) if c != j])
+    return (X,), (i, j, l, r, s)
 
-        def minor_q(di, dj, a, b):
-            sub = [[grid[r2][c2] for c2 in range(n) if c2 != dj]
-                   for r2 in range(n) if r2 != di]
-            return quasidet(sub, a - (a > di), b - (b > dj), alg)
 
+def _nonempty(ranks):
+    return [s for s in ranks.ranks if s > 0]
+
+
+def _multiplicativity_holds(rng, alg, X, Y):
+    return gdet0(mat_mul(X, Y)) == gdet0(X) * gdet0(Y)
+
+
+def _heredity_holds(rng, alg, X, k):
+    sizes = _nonempty(X.row_ranks)
+    grid = X.grid()
+    base = sum(sizes[:k])
+    inner = block_quasidet(grid, sizes, k, k, alg)
+    pairs = [(quasidet(inner, a, b, alg), quasidet(grid, base + a, base + b, alg))
+             for a in range(sizes[k]) for b in range(sizes[k])]
+    return all(lhs == rhs for lhs, rhs in pairs)
+
+
+def _homological_holds(rng, alg, X, i, j, l, r, s):
+    grid = X.grid()
+    n = len(grid)
+
+    def minor_q(di, dj, a, b):
+        sub = [[grid[r2][c2] for c2 in range(n) if c2 != dj]
+               for r2 in range(n) if r2 != di]
+        return quasidet(sub, a - (a > di), b - (b > dj), alg)
+
+    row_ok = (quasidet(grid, i, j, alg) * minor_q(i, l, r, j).inverse()
+              == -(quasidet(grid, i, l, alg) * minor_q(i, j, r, l).inverse()))
+    kk = rng.choice([a for a in range(n) if a != i])
+    col_ok = (minor_q(kk, j, i, s).inverse() * quasidet(grid, i, j, alg)
+              == -(minor_q(i, j, kk, s).inverse() * quasidet(grid, kk, j, alg)))
+    return row_ok and col_ok
+
+
+def _dieudonne_holds(rng, alg, X):
+    g = gdet0(X)
+    return g * g == alg.scalar(ddet_squared(X))
+
+
+def _udl_holds(rng, alg, X):
+    grid = X.grid()
+    fac = udl_decompose(grid, _nonempty(X.row_ranks), alg)
+    d_inv = rm.mat_inverse(fac.D, alg)
+    ok = rm.grids_equal(rm.mat_mul(fac.U, rm.mat_mul(fac.D, fac.L)), grid)
+    return ok and rm.grids_equal(rm.mat_mul(fac.frak_u, rm.mat_mul(d_inv, fac.frak_l)), grid)
+
+
+def _sampled_trial(name, draw, holds, rng, alg, ranks):
+    """Redraw until ``holds`` is defined on a sample, at most MAX_DRAWS times.
+
+    ``draw`` returns (inputs, extra): the matrices the report lists, and the
+    further random choices ``holds`` needs.  Returns (verdict, inputs).
+    """
+    for _ in range(MAX_DRAWS):
+        inputs, extra = draw(rng, alg, ranks)
         try:
-            row_ok = (quasidet(grid, i, j, alg) * minor_q(i, l, r, j).inverse()
-                      == -(quasidet(grid, i, l, alg) * minor_q(i, j, r, l).inverse()))
-            kk = rng.choice([a for a in range(n) if a != i])
-            col_ok = (minor_q(kk, j, i, s).inverse() * quasidet(grid, i, j, alg)
-                      == -(minor_q(i, j, kk, s).inverse() * quasidet(grid, kk, j, alg)))
-        except (SubmatrixNotInvertibleError, NotInvertibleError):
+            return holds(rng, alg, *inputs, *extra), inputs
+        except (RegularityError, NotInvertibleError):
             continue
-        return row_ok and col_ok, (X,)
+    raise GradAlgError(f"{name}: no defined sample in {MAX_DRAWS} draws")
 
 
-def _trial_liouville(rng, alg, ranks, order=4):
-    from .randgen import random_matrix
+def _trial_liouville(rng, alg, ranks):
     X = random_matrix(rng, alg, ranks, bound=5)
-    lhs, rhs = liouville_check(X, order=order)
+    lhs, rhs = liouville_check(X, order=4)
     return lhs == rhs, (X,)
 
 
-def _trial_dieudonne(rng, alg, ranks):
-    from .determinant import gdet0
-    from .errors import NotInvertibleError, RegularityError
-    from .randgen import random_invertible
-    while True:
-        X = random_invertible(rng, alg, ranks)
-        try:
-            g = gdet0(X)
-            sq = ddet_squared(X)
-        except (RegularityError, NotInvertibleError):
-            continue
-        return g * g == alg.scalar(sq), (X,)
-
-
-def _trial_udl(rng, alg, ranks):
-    from . import ringmat as rm
-    from .errors import NotInvertibleError, RegularityError
-    from .quasidet import udl_decompose
-    from .randgen import random_matrix
-    sizes = [s for s in ranks.ranks if s > 0]
-    while True:
-        X = random_matrix(rng, alg, ranks)
-        grid = X.grid()
-        try:
-            fac = udl_decompose(grid, sizes, alg)
-            d_inv = rm.mat_inverse(fac.D, alg)
-        except (RegularityError, NotInvertibleError):
-            continue
-        ok = rm.grids_equal(rm.mat_mul(fac.U, rm.mat_mul(fac.D, fac.L)), grid)
-        ok = ok and rm.grids_equal(
-            rm.mat_mul(fac.frak_u, rm.mat_mul(d_inv, fac.frak_l)), grid)
-        return ok, (X,)
-
-
 _TRIALS = {
-    "multiplicativity": _trial_multiplicativity,
-    "heredity": _trial_heredity,
-    "homological": _trial_homological,
-    "liouville": _trial_liouville,
-    "dieudonne": _trial_dieudonne,
-    "udl": _trial_udl,
-}
+    name: functools.partial(_sampled_trial, name, draw, holds)
+    for name, draw, holds in (
+        ("multiplicativity", _draw_invertible_pair, _multiplicativity_holds),
+        ("heredity", _draw_block, _heredity_holds),
+        ("homological", _draw_homological, _homological_holds),
+        ("dieudonne", _draw_invertible, _dieudonne_holds),
+        ("udl", _draw_matrix, _udl_holds))}
+_TRIALS["liouville"] = _trial_liouville
 
 
 def cmd_check(args):

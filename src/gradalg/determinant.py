@@ -163,19 +163,20 @@ def elementary_sandwich_check(X: GradedMatrix, Y: GradedMatrix):
     """Both sides of gdet(I + frak_X12 frak_Y21) = gdet(I + frak_Y21 frak_X12)
     under the even-halves redivision; one of the two factors must be
     elementary (at most one nonzero entry)."""
-    rx = redivide_2x2(X, "even_halves")
-    ry = redivide_2x2(Y, "even_halves")
-    a = rx.x12
-    b = ry.x21
+    return _sandwich_check(X, Y, "even_halves", rm.mat_add)
+
+
+def _sandwich_check(X, Y, mode, combine):
+    """gdet(combine(I, X12 Y21)) and gdet(I + Y21 X12) under the ``mode``
+    redivision, each over the blocks of its rows."""
+    a = redivide_2x2(X, mode).x12
+    b = redivide_2x2(Y, mode).x21
     if not (_is_elementary(a) or _is_elementary(b)):
         raise ValueError("one off-diagonal factor must be elementary")
-    top_sizes = [s for s in a.row_ranks.ranks if s > 0]
-    bot_sizes = [s for s in b.row_ranks.ranks if s > 0]
-    ab = rm.mat_add(rm.identity(X.ring, a.shape[0]), rm.mat_mul(a.grid(), b.grid()))
-    ba = rm.mat_add(rm.identity(X.ring, b.shape[0]), rm.mat_mul(b.grid(), a.grid()))
-    lhs = gdet_blocks(ab, top_sizes, X.ring).value
-    rhs = gdet_blocks(ba, bot_sizes, X.ring).value
-    return lhs, rhs
+    lhs_grid = combine(rm.identity(X.ring, a.shape[0]), rm.mat_mul(a.grid(), b.grid()))
+    rhs_grid = rm.mat_add(rm.identity(X.ring, b.shape[0]), rm.mat_mul(b.grid(), a.grid()))
+    return (gdet_blocks(lhs_grid, a.row_ranks.ranks, X.ring).value,
+            gdet_blocks(rhs_grid, b.row_ranks.ranks, X.ring).value)
 
 
 def _is_elementary(M: GradedMatrix) -> bool:
@@ -189,9 +190,11 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
            139, 149, 151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199)
 
 MAX_ORACLE_DIMENSION = 5
+# Shifted generic fills the oracle tries per permutation.
+ORACLE_FILLS = 8
 
 
-def multilinear_coefficients(pattern: GradedMatrix, max_retries: int = 8) -> dict:
+def multilinear_coefficients(pattern: GradedMatrix) -> dict:
     """Coefficient c_sigma of every permutation monomial of gdet over a
     pattern of basis scalars.
 
@@ -212,14 +215,14 @@ def multilinear_coefficients(pattern: GradedMatrix, max_retries: int = 8) -> dic
                 raise ValueError("pattern entries must be basis monomials or zero")
     out = {}
     for sigma in itertools.permutations(range(n)):
-        out[sigma] = _interpolated_coefficient(grid, sizes, pattern.ring, sigma, max_retries)
+        out[sigma] = _interpolated_coefficient(grid, sizes, pattern.ring, sigma)
     return out
 
 
-def _interpolated_coefficient(grid, sizes, ring, sigma, max_retries):
+def _interpolated_coefficient(grid, sizes, ring, sigma):
     n = len(grid)
     npoints = n + 1
-    for attempt in range(max_retries):
+    for attempt in range(ORACLE_FILLS):
         fill = [[_PRIMES[(r * n + c + attempt) % len(_PRIMES)] for c in range(n)]
                 for r in range(n)]
         samples = []
@@ -261,12 +264,12 @@ def row_monomial_product(pattern: GradedMatrix, sigma) -> object:
     return acc
 
 
-def normalized_coefficients(pattern: GradedMatrix, max_retries: int = 8) -> dict:
+def normalized_coefficients(pattern: GradedMatrix) -> dict:
     """Coefficients on the row-ordered products of the pattern monomials:
     c_sigma scaled by the inverse of the monomial product.  For patterns whose
     permutation products are invertible this is the sign table of the abstract
     expansion over a free graded-commutative realization."""
-    coeffs = multilinear_coefficients(pattern, max_retries)
+    coeffs = multilinear_coefficients(pattern)
     out = {}
     for sigma, c in coeffs.items():
         rho = row_monomial_product(pattern, sigma)

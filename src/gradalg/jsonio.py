@@ -14,7 +14,7 @@ import hashlib
 import json
 from fractions import Fraction
 
-from .errors import SchemaError
+from .errors import HomogeneityError, SchemaError
 from .grading import GroupElement
 from .matrices import GradedMatrix, RankVector, check_homogeneous
 from .scalars import Algebra, Element
@@ -114,7 +114,7 @@ def matrix_to_json(X: GradedMatrix):
     }
 
 
-def matrix_from_json(obj, validate: bool = True) -> GradedMatrix:
+def matrix_from_json(obj) -> GradedMatrix:
     if not isinstance(obj, dict):
         raise SchemaError("matrix object expected")
     for key in ("algebra", "ranks", "degree", "entries"):
@@ -131,8 +131,7 @@ def matrix_from_json(obj, validate: bool = True) -> GradedMatrix:
         raise SchemaError(f"entries must form an {n}x{n} grid of term lists")
     grid = [[terms_from_json(v, alg) for v in row] for row in rows]
     X = GradedMatrix(alg, ranks, ranks, degree, grid)
-    if validate and not check_homogeneous(X):
-        from .errors import HomogeneityError
+    if not check_homogeneous(X):
         raise HomogeneityError("matrix violates the block degree law")
     return X
 

@@ -9,26 +9,25 @@ from __future__ import annotations
 import random
 
 from .berezinian import is_invertible0
+from .determinant import _degree_unit
 from .errors import GradAlgError
 from .grading import GroupElement
-from .matrices import GradedMatrix, RankVector
+from .matrices import GradedMatrix, RankVector, scalar_mul
 from .scalars import Algebra
+
+# Draws a rejection sampler makes before it gives up.
+MAX_DRAWS = 500
 
 
 def random_element(rng: random.Random, alg: Algebra, degree: GroupElement,
-                   bound: int = 9, allow_zero: bool = True):
+                   bound: int = 9):
     """A random multiple of one basis monomial of the requested degree."""
     monomials = alg.monomials_by_degree().get(degree)
     if not monomials:
         raise GradAlgError(f"algebra realizes no monomial of degree {degree}")
-    if allow_zero:
-        c = rng.randint(-bound, bound)
-        if c == 0:
-            return alg.zero()
-    else:
-        c = rng.randint(1, bound)
-        if rng.random() < 0.5:
-            c = -c
+    c = rng.randint(-bound, bound)
+    if c == 0:
+        return alg.zero()
     cl, odd = rng.choice(monomials)
     return alg.monomial(cl, odd, c)
 
@@ -48,26 +47,21 @@ def random_matrix(rng: random.Random, alg: Algebra, ranks: RankVector,
     return GradedMatrix(alg, ranks, ranks, degree, grid)
 
 
-def random_invertible(rng: random.Random, alg: Algebra, ranks: RankVector,
-                      bound: int = 9, max_tries: int = 500) -> GradedMatrix:
+def random_invertible(rng: random.Random, alg: Algebra, ranks: RankVector) -> GradedMatrix:
     """A random invertible degree-0 matrix, by rejection."""
-    for _ in range(max_tries):
-        X = random_matrix(rng, alg, ranks, bound=bound)
+    for _ in range(MAX_DRAWS):
+        X = random_matrix(rng, alg, ranks)
         if is_invertible0(X):
             return X
     raise GradAlgError("could not sample an invertible matrix")
 
 
 def random_graded_invertible(rng: random.Random, alg: Algebra, ranks: RankVector,
-                             degree: GroupElement, bound: int = 9,
-                             max_tries: int = 500) -> GradedMatrix:
+                             degree: GroupElement) -> GradedMatrix:
     """A random invertible homogeneous matrix of the requested even degree,
     as a degree-unit multiple of an invertible degree-0 one."""
-    from .determinant import _degree_unit
-    from .matrices import scalar_mul
-
     if degree.is_zero:
-        return random_invertible(rng, alg, ranks, bound, max_tries)
+        return random_invertible(rng, alg, ranks)
     q = _degree_unit(alg, degree)
-    x0 = random_invertible(rng, alg, ranks, bound, max_tries)
+    x0 = random_invertible(rng, alg, ranks)
     return scalar_mul(q, x0)

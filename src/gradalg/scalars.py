@@ -162,7 +162,58 @@ class Algebra:
         return (m1 ^ m2, t1 | t2), sign
 
 
-class Element:
+class RingElement:
+    """Ring code shared by Element and series.NilpotentPoly; each subclass
+    supplies ``_coerce``, ``+``, unary ``-``, ``*``, ``is_zero``, ``degree``,
+    ``inverse`` and ``_one``."""
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other + (-self)
+
+    def __pow__(self, k: int):
+        if not isinstance(k, int):
+            return NotImplemented
+        base = self
+        if k < 0:
+            base = self.inverse()
+            k = -k
+        acc = self._one()
+        for _ in range(k):
+            acc = acc * base
+        return acc
+
+    @property
+    def is_homogeneous(self) -> bool:
+        return self.is_zero or self.degree() is not None
+
+    def _lift_inverse(self, core, core_inv, steps: int):
+        """(c + N)^{-1} = sum_k (-c^{-1} N)^k c^{-1} for N = self - core,
+        given core_inv = c^{-1} and (c^{-1} N)^(steps+1) = 0."""
+        nil = self - core
+        if nil.is_zero:
+            return core_inv
+        u = core_inv * nil
+        acc = power = self._one()
+        for _ in range(steps):
+            power = power * (-u)
+            if power.is_zero:
+                break
+            acc = acc + power
+        return acc * core_inv
+
+
+class Element(RingElement):
     """A finite Q-linear combination of basis monomials of one Algebra."""
 
     __slots__ = ("algebra", "terms")
@@ -196,18 +247,6 @@ class Element:
     def __neg__(self):
         return Element(self.algebra, {k: -v for k, v in self.terms.items()})
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
@@ -237,17 +276,8 @@ class Element:
             return Element(self.algebra, {k: v / c for k, v in self.terms.items()})
         return NotImplemented
 
-    def __pow__(self, k: int):
-        if not isinstance(k, int):
-            return NotImplemented
-        base = self
-        if k < 0:
-            base = self.inverse()
-            k = -k
-        acc = self.algebra.one()
-        for _ in range(k):
-            acc = acc * base
-        return acc
+    def _one(self):
+        return self.algebra.one()
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -282,10 +312,6 @@ class Element:
             return next(iter(degs))
         return None
 
-    @property
-    def is_homogeneous(self) -> bool:
-        return not self.terms or self.degree() is not None
-
     def graded_parts(self):
         """List of (degree, homogeneous part) pairs, deterministic order."""
         buckets = {}
@@ -312,19 +338,7 @@ class Element:
         core = self.strip_odd()
         if core.is_zero:
             raise NotInvertibleError("element lies in the nilpotent odd ideal")
-        core_inv = _clifford_inverse(core)
-        nil = self - core
-        if nil.is_zero:
-            return core_inv
-        u = core_inv * nil
-        acc = self.algebra.one()
-        power = self.algebra.one()
-        for _ in range(self.algebra.num_odd):
-            power = power * (-u)
-            if power.is_zero:
-                break
-            acc = acc + power
-        return acc * core_inv
+        return self._lift_inverse(core, _clifford_inverse(core), self.algebra.num_odd)
 
     # -- formatting ----------------------------------------------------------
 
@@ -351,15 +365,6 @@ class Element:
     __repr__ = __str__
 
 
-def _blade_square_sign(alg: Algebra, mask: int) -> int:
-    sign = 1
-    if _reorder_swaps(mask, mask) & 1:
-        sign = -sign
-    if alg.q and (mask >> alg.p).bit_count() & 1:
-        sign = -sign
-    return sign
-
-
 def _clifford_inverse(a: Element) -> Element:
     """Inverse of a pure Clifford element.
 
@@ -369,7 +374,7 @@ def _clifford_inverse(a: Element) -> Element:
     alg = a.algebra
     if len(a.terms) == 1:
         (mask, _), c = next(iter(a.terms.items()))
-        s = _blade_square_sign(alg, mask)
+        _, s = alg._mul_monomials((mask, 0), (mask, 0))
         return alg.blade(mask, Fraction(s) / c)
     dim = 1 << alg.n
     cols = list(range(dim))

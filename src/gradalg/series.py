@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotInvertibleError
-from .scalars import Algebra, Element
+from .scalars import Algebra, Element, RingElement
 
 DEFAULT_ORDER = 8
 
@@ -43,7 +43,7 @@ class SeriesRing:
         return NilpotentPoly(self, (self.base.zero(), c))
 
 
-class NilpotentPoly:
+class NilpotentPoly(RingElement):
     """Coefficient list (zeta^0, ..., zeta^{K-1}) over the base algebra."""
 
     __slots__ = ("ring", "coeffs")
@@ -88,18 +88,6 @@ class NilpotentPoly:
     def __neg__(self):
         return NilpotentPoly(self.ring, (-c for c in self.coeffs))
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return NilpotentPoly(self.ring, (c * other for c in self.coeffs))
@@ -131,17 +119,8 @@ class NilpotentPoly:
             return NilpotentPoly(self.ring, (c / other for c in self.coeffs))
         return NotImplemented
 
-    def __pow__(self, k: int):
-        if not isinstance(k, int):
-            return NotImplemented
-        base = self
-        if k < 0:
-            base = self.inverse()
-            k = -k
-        acc = self.ring.one()
-        for _ in range(k):
-            acc = acc * base
-        return acc
+    def _one(self):
+        return self.ring.one()
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, Element)):
@@ -175,10 +154,6 @@ class NilpotentPoly:
             return next(iter(degs))
         return None
 
-    @property
-    def is_homogeneous(self) -> bool:
-        return self.is_zero or self.degree() is not None
-
     def graded_parts(self):
         buckets = {}
         for k, c in enumerate(self.coeffs):
@@ -198,19 +173,7 @@ class NilpotentPoly:
         c0 = self.constant_term()
         if c0.is_zero:
             raise NotInvertibleError("constant term vanishes")
-        c0_inv = self.ring.lift(c0.inverse())
-        nil = self - c0
-        if nil.is_zero:
-            return c0_inv
-        u = c0_inv * nil
-        acc = self.ring.one()
-        power = self.ring.one()
-        for _ in range(1, self.ring.order):
-            power = power * (-u)
-            if power.is_zero:
-                break
-            acc = acc + power
-        return acc * c0_inv
+        return self._lift_inverse(c0, self.ring.lift(c0.inverse()), self.ring.order - 1)
 
     def __str__(self):
         if self.is_zero:

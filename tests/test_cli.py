@@ -1,6 +1,7 @@
 """CLI and JSON schema coverage: round trips, validation exit codes, and the
 determinism of seeded property reports."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -231,6 +232,59 @@ class TestCheckCommand:
               "--seed", "13", "--ranks", "0,2,1,1"])
         second = capsys.readouterr().out
         assert first == second
+
+    @pytest.mark.parametrize("prop,ranks,digest", [
+        ("multiplicativity", "1,1,1,1",
+         "5f1a10589a761b6cdbd63024c46b90454268a08aa6102867237caefd9fa38956"),
+        ("heredity", "1,1,1,1",
+         "73ebd6a06eaae88b82ae252402497e18b2cc5d4efc213d2ad3c2e29550461257"),
+        ("homological", "1,1,1,1",
+         "736ae838c01f3f12ff31ae428b33cc330159ac25402562b44df997632f845def"),
+        ("liouville", "1,1,1,1",
+         "c86f32bf4603a771d7626e07b9a112cf704cfa00d89a6849055e5fd08a8e1fd4"),
+        ("dieudonne", "1,1,1,1",
+         "7d2c195e2d79da168008c8e480d027e24010b426c7400fd56297dfab2fff4acc"),
+        ("udl", "1,1,1,1",
+         "127300652b736b541b8b30c3eade58513e04d48acfbe29fbac23ce64397704b3"),
+        ("multiplicativity", "0,2,1,1",
+         "8b44c6a6461c11389083ab5f52e50bc338cb20d6ca43d777788598418bae4e7d"),
+        ("heredity", "0,2,1,1",
+         "9a00cf3f53bedb395b6ff75ef6aa2b86b12df83ef7148f71fbedf4a73b46449e"),
+        ("homological", "0,2,1,1",
+         "63de52a1f9615aaa2e032c23f25f799d468fb497aa396646a6d5ba4b32ff5b27"),
+        ("liouville", "0,2,1,1",
+         "1edef570eab780882e92896173e2f57ce3f26cb4045bc538c330e142237188e5"),
+        ("dieudonne", "0,2,1,1",
+         "46bb28557d42cc023ed78018097fa8174922f25a7bfd0b1537c03c21addf825e"),
+        ("udl", "0,2,1,1",
+         "a7d586c564f06cee26b8a148b9ae00ad356f28c722460990674b109d7b654e72"),
+    ])
+    def test_pinned_report(self, prop, ranks, digest, capsys):
+        # SHA-256 of the whole report: any change to a sampled input, to the
+        # order of rng draws or to a verdict shows here
+        main(["check", "--property", prop, "--trials", "4", "--seed", "42",
+              "--ranks", ranks])
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_sampler_is_bounded(self, capsys, monkeypatch):
+        from gradalg import determinant
+        from gradalg.errors import RegularityError
+        calls = []
+
+        def never_regular(X):
+            calls.append(1)
+            if len(calls) > 5000:
+                raise AssertionError("retry loop is unbounded")
+            raise RegularityError("stub")
+
+        monkeypatch.setattr(determinant, "gdet0", never_regular)
+        monkeypatch.setattr("gradalg.cli.gdet0", never_regular, raising=False)
+        assert main(["check", "--property", "multiplicativity", "--trials", "1",
+                     "--seed", "3"]) == 4
+        assert len(calls) == 500
+        err = capsys.readouterr().err
+        assert "multiplicativity" in err and "500 draws" in err
 
     def test_env_seed_override(self, capsys, monkeypatch):
         monkeypatch.setenv("GRADALG_SEED", "321")

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradalg import (Algebra, GroupElement, NotInvertibleError, SeriesRing,
-                     extended_quaternions, nilpotent_exp, quaternion_units)
+                     extended_quaternions, nilpotent_exp, quaternion_units,
+                     quaternions)
 
 from conftest import random_quaternion
 
@@ -119,7 +120,8 @@ class TestInversion:
             assert a.inverse().inverse() == a
 
     @pytest.mark.parametrize("p,q", [(0, 1), (1, 0), (0, 2), (1, 1), (2, 0),
-                                     (0, 3), (1, 2), (2, 1), (3, 0)])
+                                     (0, 3), (1, 2), (2, 1), (3, 0),
+                                     (0, 4), (1, 3), (2, 2), (4, 0)])
     def test_graded_division_exhaustive(self, p, q):
         # every nonzero homogeneous element is a blade multiple, hence a unit
         alg = Algebra(p, q)
@@ -222,6 +224,42 @@ class TestNilpotentSeries:
 
     def test_default_order(self, H):
         assert SeriesRing(H).order == 8
+
+
+def _ring_samples(kind):
+    """(x, one, mixed, zero, subtrahends) for a scalar or a series ring."""
+    if kind == "element":
+        EH = extended_quaternions()
+        i, j, k = quaternion_units(EH)
+        t1, t2 = EH.odd_generator(1), EH.odd_generator(2)
+        x = EH.scalar(2) + i * 3 + t1 * 5 + t1 * t2 * 7 + j * t2
+        return x, EH.one(), EH.one() + i, EH.zero(), [3, Fraction(-2, 3)]
+    H = quaternions()
+    i, j, k = quaternion_units(H)
+    ring = SeriesRing(H, 5)
+    x = ring.scalar(2) + ring.zeta(i * 3) + ring.zeta(j) * ring.zeta(k)
+    return (x, ring.one(), ring.one() + ring.zeta(i), ring.zero(),
+            [3, Fraction(-2, 3), H.scalar(1) + k * 2])
+
+
+@pytest.mark.parametrize("kind", ["element", "series"])
+class TestSharedRingCode:
+    def test_left_subtraction(self, kind):
+        x, _, _, _, ks = _ring_samples(kind)
+        for k in ks:
+            assert k - x == -(x - k)
+
+    def test_powers(self, kind):
+        x, one, _, _, _ = _ring_samples(kind)
+        assert x ** -2 == x.inverse() ** 2
+        assert x ** -2 * x ** 2 == one
+        assert x ** 0 == one
+
+    def test_is_homogeneous(self, kind):
+        x, one, mixed, zero, _ = _ring_samples(kind)
+        assert not mixed.is_homogeneous
+        assert zero.is_homogeneous
+        assert one.is_homogeneous
 
 
 class TestElementBasics:
