@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from . import ringmat as rm
 from .errors import NotInvertibleError, RegularityError
-from .matrices import GradedMatrix, redivide_2x2, require_homogeneous
+from .matrices import GradedMatrix, matrix_inverse, redivide_2x2, require_homogeneous
 from .determinant import _sandwich_check, gdet_blocks, gdet_blocks_ldu
 from .series import NilpotentPoly, SeriesRing, nilpotent_exp
 from .trace import gtr
@@ -49,7 +49,7 @@ def invert0(X: GradedMatrix) -> GradedMatrix:
     holds; the nilpotent lift happens inside each pivot's inverse().
     """
     _require_degree0(X)
-    return X.with_entries(rm.mat_inverse(X.grid(), X.ring))
+    return matrix_inverse(X)
 
 
 def gber(X: GradedMatrix):

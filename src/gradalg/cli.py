@@ -2,7 +2,8 @@
 and drive seeded property sweeps with machine-readable reports.
 
 Exit codes: 0 success, 1 property failure, 2 schema violation, 3 homogeneity
-violation, 4 computation error.
+violation, 4 computation error, 5 internal error (an exception no input
+should cause, reported with its traceback).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import os
 import random
 import sys
+import traceback
 
 from . import ringmat as rm
 from .berezinian import gber, liouville_check
@@ -34,6 +36,7 @@ EXIT_PROPERTY = 1
 EXIT_SCHEMA = 2
 EXIT_HOMOGENEITY = 3
 EXIT_COMPUTE = 4
+EXIT_INTERNAL = 5
 
 PROPERTIES = ("multiplicativity", "heredity", "homological", "liouville",
               "dieudonne", "udl")
@@ -324,6 +327,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

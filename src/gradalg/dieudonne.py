@@ -1,16 +1,19 @@
-"""Classical Dieudonne determinant of quaternionic matrices through
-predeterminants: chained quasiminor products whose norm is independent of the
-deletion order.  Serves as an independent oracle for the absolute value of the
-graded determinant."""
+"""Classical Dieudonne determinant of quaternionic matrices.  Its square is
+Study's determinant, the ordinary determinant of the complex image, which
+uses no quasiminors and so serves as an independent oracle for the absolute
+value of the graded determinant.  Predeterminants, chained quasiminor
+products whose norm is independent of the deletion order, give the same
+norm wherever their chain is defined."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
-from .errors import NotInvertibleError, SubmatrixNotInvertibleError
 from .matrices import GradedMatrix
 from .quasidet import quasidet
-from .scalars import Element
+from .ringmat import commutative_det
+from .scalars import Algebra, Element
 
 
 def _require_quaternionic(alg):
@@ -69,62 +72,39 @@ def predeterminant(X, rows=None, cols=None) -> Element:
     return acc
 
 
-def _greedy_chain(grid, ring):
-    """Some defined predeterminant chain, found by scanning positions in
-    row-major order; succeeds whenever the matrix is invertible."""
-    work = grid
-    acc = ring.one()
-    while work:
-        hit = None
-        for r in range(len(work)):
-            for c in range(len(work)):
-                try:
-                    hit = quasidet(work, r, c, ring)
-                except SubmatrixNotInvertibleError:
-                    continue
-                break
-            if hit is not None:
-                break
-        if hit is None:
-            raise NotInvertibleError("all predeterminant chains break down")
-        acc = acc * hit
-        work = [[work[a][b] for b in range(len(work)) if b != c]
-                for a in range(len(work)) if a != r]
-    return acc
+def _complex_image(q: Element, C: Algebra):
+    """The block [[z, w], [-conj(w), conj(z)]] of q = z + w j with z = a + b i
+    and w = c + d i; in Cl_{0,2}, i = e2, j = e1 and k = -e1 e2."""
+    a, b, c, e12 = (q.terms.get((mask, 0), Fraction(0)) for mask in (0, 2, 1, 3))
+    d = -e12
+
+    def cx(re, im):
+        return Element(C, {(0, 0): re, (1, 0): im})
+
+    return ((cx(a, b), cx(c, d)), (cx(-c, d), cx(a, -b)))
 
 
 def ddet_squared(X) -> Fraction:
-    """||D_IJ(X)||^2 as an exact rational, with a deterministic fallback chain
-    when the identity permutations break down."""
-    grid, ring = _as_grid(X)
-    try:
-        d = predeterminant(X)
-    except SubmatrixNotInvertibleError:
-        d = _greedy_chain(grid, ring)
-    return quat_norm_sq(d)
+    """||D(X)||^2 as an exact rational: Study's determinant, the determinant
+    of the 2n x 2n complex image of X over C = Cl_{0,1}; 0 exactly when X is
+    singular."""
+    grid, _ = _as_grid(X)
+    C = Algebra(0, 1)
+    image = []
+    for row in grid:
+        blocks = [_complex_image(q, C) for q in row]
+        image.extend([x for blk in blocks for x in blk[half]] for half in (0, 1))
+    det = commutative_det(image, C)
+    if not det.is_rational():
+        raise ValueError("Study determinant failed to collapse to a rational")
+    return det.scalar_part()
 
 
 def ddet(X) -> Fraction:
     """The Dieudonne determinant when its square is a perfect rational square;
     otherwise compare squared values via ddet_squared."""
     sq = ddet_squared(X)
-    root = _exact_sqrt(sq)
-    if root is None:
+    root = Fraction(isqrt(sq.numerator), isqrt(sq.denominator))
+    if root * root != sq:
         raise ValueError("Dieudonne determinant is irrational; use ddet_squared")
     return root
-
-
-def _exact_sqrt(x: Fraction):
-    if x < 0:
-        return None
-    num = _isqrt_exact(x.numerator)
-    den = _isqrt_exact(x.denominator)
-    if num is None or den is None:
-        return None
-    return Fraction(num, den)
-
-
-def _isqrt_exact(n: int):
-    from math import isqrt
-    r = isqrt(n)
-    return r if r * r == n else None

@@ -40,20 +40,19 @@ def mat_neg(a):
     return [[-x for x in row] for row in a]
 
 
+def _dot(xs, ys):
+    acc = None
+    for x, y in zip(xs, ys):
+        term = x * y
+        acc = term if acc is None else acc + term
+    return acc
+
+
 def mat_mul(a, b):
     if a and b and len(a[0]) != len(b):
         raise ValueError(f"inner dimension mismatch: {len(a[0])} vs {len(b)}")
-    out = []
-    for row in a:
-        out_row = []
-        for j in range(len(b[0]) if b else 0):
-            acc = None
-            for k, x in enumerate(row):
-                term = x * b[k][j]
-                acc = term if acc is None else acc + term
-            out_row.append(acc)
-        out.append(out_row)
-    return out
+    cols = list(zip(*b))
+    return [[_dot(row, col) for col in cols] for row in a]
 
 
 def mat_scale_left(s, a):
@@ -125,27 +124,38 @@ def mat_inverse(grid, ring):
 
 
 def commutative_det(grid, ring):
-    """Classical determinant by first-row cofactor expansion.
+    """Determinant of a matrix with pairwise commuting entries (the degree-0
+    diagonal quasiminors) by Berkowitz's division-free algorithm, Inf.
+    Process. Lett. 18 (1984); nilpotent entries need no division.
 
-    Only meaningful when the entries commute with each other (degree-0
-    diagonal quasiminors land in the commutative subalgebra).
+    With M the leading k x k block, c and r the rest of column and row k and
+    a the corner, det(tI + [[M, c], [r, a]]) is the polynomial part of
+    det(tI + M) (t + a - sum_j (-1)^j (r M^j c) t^(-j-1)).
     """
     n = len(grid)
-    if n == 0:
-        return ring.one()
     if any(len(row) != n for row in grid):
         raise ValueError("matrix must be square")
-    if n == 1:
-        return grid[0][0]
-    if n == 2:
-        return grid[0][0] * grid[1][1] - grid[0][1] * grid[1][0]
-    acc = None
-    for j, x in enumerate(grid[0]):
-        if x.is_zero:
-            continue
-        minor = [row[:j] + row[j + 1:] for row in grid[1:]]
-        term = x * commutative_det(minor, ring)
-        if j & 1:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc if acc is not None else ring.zero()
+    if n == 0:
+        return ring.one()
+    # p[m - 1] is the coefficient of t^(k-m) in det(tI + M); the leading 1
+    # stays implicit, so nothing is multiplied by it
+    p = [grid[0][0]]
+    for k in range(1, n):
+        # M^j c for j < k; zip in _dot stops at column k
+        powers = [[row[k] for row in grid[:k]]]
+        for _ in range(k - 1):
+            powers.append([_dot(row, powers[-1]) for row in grid[:k]])
+        moments = [_dot(w, grid[k]) for w in powers]
+        new = []
+        # coefficient i is p_i + a p_(i-1) - sum_j (-1)^j (r M^j c) p_(i-2-j)
+        # with p_0 = 1; the last step forms only i = n, the determinant
+        for i in range(k + 1 if k == n - 1 else 1, k + 2):
+            acc = grid[k][k] if i == 1 else p[i - 2] * grid[k][k]
+            if i <= k:
+                acc = p[i - 1] + acc
+            for j in range(i - 1):
+                term = moments[j] if j == i - 2 else moments[j] * p[i - 3 - j]
+                acc = acc + term if j & 1 else acc - term
+            new.append(acc)
+        p = new
+    return p[-1]

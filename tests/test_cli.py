@@ -197,6 +197,14 @@ class TestSubcommands:
         assert json.loads(capsys.readouterr().out)["ddet_squared"] == {
             "num": 1, "den": 1}
 
+    def test_ddet_of_zero_matrix(self, tmp_path, H, capsys):
+        X = scalar_mul(H.zero(), identity_matrix(H, rank_even((1, 1, 1, 1))))
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(matrix_to_json(X)))
+        assert main(["ddet", "--input", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["ddet_squared"] == {
+            "num": 0, "den": 1}
+
     def test_liouville(self, identity_file, capsys):
         assert main(["liouville", "--input", identity_file, "--order", "3"]) == 0
         out = json.loads(capsys.readouterr().out)
@@ -302,6 +310,18 @@ class TestCheckCommand:
         monkeypatch.setitem(climod._TRIALS, "udl", failing)
         assert main(["check", "--property", "udl", "--trials", "1"]) == 1
         assert json.loads(capsys.readouterr().out)["all_pass"] is False
+
+    def test_internal_error_exit(self, capsys, monkeypatch):
+        from gradalg import cli as climod
+
+        def broken(rng, alg, ranks):
+            raise RuntimeError("stub bug")
+
+        monkeypatch.setitem(climod._TRIALS, "udl", broken)
+        assert main(["check", "--property", "udl", "--trials", "1"]) == 5
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("internal error: RuntimeError: stub bug\n")
 
     @pytest.mark.parametrize("prop,ranks,trials", [
         ("multiplicativity", "1,1,1,1", "0"), ("udl", "1,1,1,1", "-3"),

@@ -2,13 +2,14 @@
 the nonzero-degree extension with its dimension condition, row reduction, and
 the interpolation oracle against the frozen coefficient tables."""
 
+import itertools
 import warnings
 from fractions import Fraction
 
 import pytest
 
-from gradalg import (DimensionNotAdmissibleError, GradedMatrix, GroupElement,
-                     NotInvertibleError,
+from gradalg import (Algebra, DimensionNotAdmissibleError, GradedMatrix, GroupElement,
+                     NotInvertibleError, grassmann,
                      HomogeneityError, RankVector, RegularityError,
                      elementary_sandwich_check, gdet0,
                      gdet_certified, gdet_graded, gdet_ldu, identity_matrix,
@@ -228,6 +229,72 @@ class TestClassicalDegeneration:
             except RegularityError:
                 continue
             done += 1
+
+
+def leibniz_det(grid, ring):
+    """sum over permutations of sign(sigma) prod_i x_{i, sigma(i)}."""
+    n = len(grid)
+    acc = ring.zero()
+    for sigma in itertools.permutations(range(n)):
+        inversions = sum(a > b for a, b in itertools.combinations(sigma, 2))
+        term = ring.one()
+        for i, s in enumerate(sigma):
+            term = term * grid[i][s]
+        acc = acc - term if inversions & 1 else acc + term
+    return acc
+
+
+class TestCommutativeDet:
+    """commutative_det against the permutation sum, which shares no code with
+    it, including rings with nilpotents where no division is available."""
+
+    @staticmethod
+    def _entries(name, rng):
+        if name == "Q":
+            ring = Algebra(0, 0)
+            return ring, lambda: ring.scalar(random_rational(rng))
+        if name == "C":
+            ring = Algebra(0, 1)
+            i = ring.generator(1)
+            return ring, lambda: ring.scalar(rng.randint(-4, 4)) + i * rng.randint(-4, 4)
+        ring = grassmann(4)
+        theta = [ring.odd_generator(t) for t in range(1, 5)]
+        pairs = [a * b for a, b in itertools.combinations(theta, 2)]
+        top = theta[0] * theta[1] * theta[2] * theta[3]
+
+        def even():
+            x = ring.scalar(rng.randint(-3, 3))
+            for m in pairs + [top]:
+                if rng.random() < 0.4:
+                    x = x + m * rng.randint(-3, 3)
+            return x
+        return ring, even
+
+    @pytest.mark.parametrize("name", ["Q", "C", "grassmann4"])
+    @pytest.mark.parametrize("n", range(7))
+    def test_matches_leibniz(self, name, n, rng):
+        ring, draw = self._entries(name, rng)
+        for _ in range(2):
+            grid = [[draw() for _ in range(n)] for _ in range(n)]
+            assert rm.commutative_det(grid, ring) == leibniz_det(grid, ring)
+
+    def test_single_block_gdet_of_lu_product(self, H, rng):
+        # one 9 x 9 degree-0 block over H: gdet0 is commutative_det, and a
+        # unit lower times an upper triangular matrix has det prod d_i
+        n = 9
+        one, zero = H.one(), H.zero()
+        lower = [[H.scalar(rng.randint(-3, 3)) if c < r else (one if c == r else zero)
+                  for c in range(n)] for r in range(n)]
+        diag = [rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(n)]
+        upper = [[H.scalar(diag[r]) if c == r else
+                  (H.scalar(rng.randint(-3, 3)) if c > r else zero)
+                  for c in range(n)] for r in range(n)]
+        rk = RankVector(3, (n, 0, 0, 0, 0, 0, 0, 0))
+        X = GradedMatrix(H, rk, rk, GroupElement.zero(3), rm.mat_mul(lower, upper))
+        want = 1
+        for d in diag:
+            want *= d
+        assert gdet0(X) == H.scalar(want)
 
 
 class TestIntegerClosure:

@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -100,13 +101,35 @@ class TestDdet:
         while done < 8:
             X = dense_quaternionic(H, rng, 3)
             Y = dense_quaternionic(H, rng, 3)
-            try:
-                dx, dy = ddet_squared(X), ddet_squared(Y)
-                dxy = ddet_squared(mat_mul(X, Y))
-            except NotInvertibleError:
-                continue
-            assert dxy == dx * dy
+            dx, dy = ddet_squared(X), ddet_squared(Y)
+            assert ddet_squared(mat_mul(X, Y)) == dx * dy
             done += 1
+
+    def test_singular_input_gives_zero(self, H):
+        # the zero matrix breaks every predeterminant chain; the all-ones
+        # matrix has rank one
+        rk = RankVector(3, (2, 0, 0, 0, 0, 0, 0, 0))
+        for entry in (H.zero(), H.one()):
+            X = GradedMatrix(H, rk, rk, GroupElement.zero(3), [[entry] * 2] * 2)
+            assert ddet_squared(X) == 0
+            assert ddet(X) == 0
+
+    def test_no_quasiminor_code(self, H, rng, monkeypatch):
+        # gdet^2 = ||D||^2 is only an independent check if ddet_squared
+        # never reaches the quasiminor kernel that gdet is built on
+        rk = rank_even((1, 1, 1, 1))
+        samples = [random_invertible(rng, H, rk) for _ in range(6)]
+        want = [ddet_squared(X) for X in samples]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("ddet_squared reached the quasiminor kernel")
+
+        # the package re-exports the function quasidet over its module's name
+        monkeypatch.setattr("gradalg.dieudonne.quasidet", forbidden)
+        monkeypatch.setattr(importlib.import_module("gradalg.quasidet"),
+                            "block_quasidet", forbidden)
+        assert [ddet_squared(X) for X in samples] == want
+        assert all(d > 0 for d in want)
 
     def test_irrational_value_reported(self, H, units):
         i, _, _ = units
