@@ -6,16 +6,28 @@ Basis monomials are pairs (clifford mask, odd mask).  Generator e_i squares to
 of e_i has a 1 in coordinate i and in the last coordinate, so every Clifford
 monomial is even.  Adjoined odd symbols square to zero and commute against
 homogeneous elements through the sign (-1)^<deg,deg>.
+
+An element is stored sparsely as integer numerators keyed by the basis index
+``cl | (odd << n)`` over one positive denominator, kept canonical (no zero
+numerator, numerators and denominator coprime, zero over 1) so that equality
+is structural.  Products read a signed table shared by all equal algebras:
+``table[i][j]`` is +(k+1) or -(k+1) when e_i e_j = +e_k or -e_k, and 0 when the
+product vanishes (Dorst, Fontijne and Mann, Geometric Algebra for Computer
+Science, 2007).  Entries are computed on first use, so a sparse product in an
+algebra with many generators costs no more than the pairs it touches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import gcd, lcm
+from types import MappingProxyType
 
 from .errors import NotInvertibleError
 from .grading import GroupElement
+from .ringmat import mat_inverse
 
 
 def _reorder_swaps(a: int, b: int) -> int:
@@ -65,21 +77,27 @@ class Algebra:
     def num_odd(self) -> int:
         return len(self.odd_degrees)
 
+    def _index(self, cl_mask: int, odd_mask: int) -> int:
+        """Basis index of the monomial (cl_mask, odd_mask), range-checked."""
+        if not 0 <= odd_mask < (1 << self.num_odd):
+            raise ValueError("odd mask out of range")
+        if not 0 <= cl_mask < (1 << self.n):
+            raise ValueError("generator mask out of range")
+        return cl_mask | (odd_mask << self.n)
+
     # -- element factories ---------------------------------------------------
 
     def zero(self) -> "Element":
-        return Element(self, {})
+        return _element(self, {}, 1)
 
     def one(self) -> "Element":
-        return self.scalar(1)
+        return _element(self, {0: 1}, 1)
 
     def scalar(self, c) -> "Element":
-        return Element(self, {(0, 0): Fraction(c)})
+        return _monomial(self, 0, c)
 
     def blade(self, mask: int, coeff=1) -> "Element":
-        if not 0 <= mask < (1 << self.n):
-            raise ValueError("generator mask out of range")
-        return Element(self, {(mask, 0): Fraction(coeff)})
+        return self.monomial(mask, 0, coeff)
 
     def generator(self, i: int) -> "Element":
         """e_i for 1 <= i <= n."""
@@ -91,42 +109,55 @@ class Algebra:
         """The i-th adjoined odd symbol, 1-based."""
         if not 1 <= i <= self.num_odd:
             raise ValueError("odd generator index out of range")
-        return Element(self, {(0, 1 << (i - 1)): Fraction(1)})
+        return self.monomial(0, 1 << (i - 1))
 
     def monomial(self, cl_mask: int, odd_mask: int = 0, coeff=1) -> "Element":
-        if not 0 <= odd_mask < (1 << self.num_odd):
-            raise ValueError("odd mask out of range")
-        if not 0 <= cl_mask < (1 << self.n):
-            raise ValueError("generator mask out of range")
-        return Element(self, {(cl_mask, odd_mask): Fraction(coeff)})
+        return _monomial(self, self._index(cl_mask, odd_mask), coeff)
 
     # -- degrees -------------------------------------------------------------
 
     def monomial_degree(self, cl_mask: int, odd_mask: int = 0) -> GroupElement:
-        return self._degree_table()[(cl_mask, odd_mask)]
+        return self._degrees[self._index(cl_mask, odd_mask)]
 
-    @lru_cache(maxsize=None)
-    def _degree_table(self):
-        table = {}
-        for cl in range(1 << self.n):
-            base = cl | ((cl.bit_count() & 1) << self.n)
-            for odd in range(1 << self.num_odd):
-                mask = base
-                for t in range(self.num_odd):
-                    if odd >> t & 1:
-                        mask ^= self.odd_degrees[t].mask
-                table[(cl, odd)] = GroupElement(self.arity, mask)
-        return table
+    @cached_property
+    def _degrees(self):
+        """Degree of each basis index; equal degrees are one shared object."""
+        shared = {}
+        degrees = []
+        for i in range(1 << (self.n + self.num_odd)):
+            cl = i & ((1 << self.n) - 1)
+            mask = cl | ((cl.bit_count() & 1) << self.n)
+            for t, g in enumerate(self.odd_degrees):
+                if i >> (self.n + t) & 1:
+                    mask ^= g.mask
+            degrees.append(shared.setdefault(mask, GroupElement(self.arity, mask)))
+        return degrees
 
     @lru_cache(maxsize=None)
     def monomials_by_degree(self):
         """Map degree -> tuple of (cl_mask, odd_mask) basis monomials."""
         out = {}
-        for key, deg in self._degree_table().items():
-            out.setdefault(deg, []).append(key)
+        low = (1 << self.n) - 1
+        for i, deg in enumerate(self._degrees):
+            out.setdefault(deg, []).append((i & low, i >> self.n))
         return {deg: tuple(sorted(keys)) for deg, keys in out.items()}
 
     # -- monomial products ---------------------------------------------------
+
+    @cached_property
+    def _table(self):
+        """Signed product table ``_table[i][j]``, shared by equal algebras."""
+        return _table_of(self)
+
+    def _product_index(self, i: int, j: int) -> int:
+        """Table entry for basis indices i and j, from ``_mul_monomials``."""
+        n = self.n
+        low = (1 << n) - 1
+        hit = self._mul_monomials((i & low, i >> n), (j & low, j >> n))
+        if hit is None:
+            return 0
+        (cl, odd), sign = hit
+        return sign * ((cl | (odd << n)) + 1)
 
     def _mul_monomials(self, key1, key2):
         """Product of two basis monomials; (key, sign) or None when it dies."""
@@ -160,6 +191,40 @@ class Algebra:
                         if lower >> t & 1 and (ds & self.odd_degrees[t].mask).bit_count() & 1:
                             sign = -sign
         return (m1 ^ m2, t1 | t2), sign
+
+
+class _Row(dict):
+    """Row i of a product table; each entry is computed on first lookup, so
+    the table holds only the products that were asked for."""
+
+    __slots__ = ("algebra", "index")
+
+    def __init__(self, algebra: Algebra, index: int):
+        self.algebra = algebra
+        self.index = index
+
+    def __missing__(self, j):
+        k = self[j] = self.algebra._product_index(self.index, j)
+        return k
+
+
+class _Table(dict):
+    """Product table of one algebra, a dict of lazily filled rows."""
+
+    __slots__ = ("algebra",)
+
+    def __init__(self, algebra: Algebra):
+        self.algebra = algebra
+
+    def __missing__(self, i):
+        row = self[i] = _Row(self.algebra, i)
+        return row
+
+
+@lru_cache(maxsize=None)
+def _table_of(alg: Algebra) -> _Table:
+    # one table per algebra value, so equal descriptors share filled entries
+    return _Table(alg)
 
 
 class RingElement:
@@ -214,77 +279,131 @@ class RingElement:
 
 
 class Element(RingElement):
-    """A finite Q-linear combination of basis monomials of one Algebra."""
+    """A finite Q-linear combination of basis monomials of one Algebra.
 
-    __slots__ = ("algebra", "terms")
+    ``Element(algebra, terms)`` takes a {(cl_mask, odd_mask): rational} dict;
+    zero coefficients are dropped and masks out of range raise ValueError.
+    """
+
+    __slots__ = ("algebra", "_num", "_den")
 
     def __init__(self, algebra: Algebra, terms: dict):
+        coeffs = {algebra._index(cl, odd): c if isinstance(c, (int, Fraction)) else Fraction(c)
+                  for (cl, odd), c in terms.items()}
+        # zero coefficients have denominator 1, so they leave the lcm alone
+        den = lcm(*(c.denominator for c in coeffs.values()))
         self.algebra = algebra
-        self.terms = {k: v for k, v in terms.items() if v != 0}
+        self._num = {i: v for i, c in coeffs.items() if (v := c.numerator * (den // c.denominator))}
+        self._den = den
+
+    @property
+    def terms(self):
+        """Read-only {(cl_mask, odd_mask): Fraction} view of the element."""
+        n = self.algebra.n
+        low = (1 << n) - 1
+        den = self._den
+        return MappingProxyType({(i & low, i >> n): Fraction(v, den)
+                                 for i, v in self._num.items()})
 
     # -- ring structure --------------------------------------------------
 
     def _coerce(self, other):
         if isinstance(other, Element):
-            if other.algebra != self.algebra:
+            if other.algebra is not self.algebra and other.algebra != self.algebra:
                 raise ValueError("algebra descriptor mismatch")
             return other
         if isinstance(other, (int, Fraction)):
-            return self.algebra.scalar(other)
+            return _monomial(self.algebra, 0, other)
         return None
+
+    def _combine(self, other: "Element", sign: int) -> "Element":
+        """self + sign * other over the least common denominator."""
+        n2 = other._num
+        if not n2:
+            return self
+        n1 = self._num
+        if not n1:
+            return other if sign > 0 else -other
+        d1, d2 = self._den, other._den
+        g = gcd(d1, d2)
+        m1 = d2 // g
+        m2 = sign * (d1 // g)
+        out = dict(n1) if m1 == 1 else {k: v * m1 for k, v in n1.items()}
+        for k, v in n2.items():
+            out[k] = out.get(k, 0) + v * m2
+        return _normalized(self.algebra, out, d1 * m1)
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            terms[k] = terms.get(k, Fraction(0)) + v
-        return Element(self.algebra, terms)
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return Element(self.algebra, {k: -v for k, v in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return Element(self.algebra, {k: v * c for k, v in self.terms.items()})
+    def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        alg = self.algebra
-        out = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                hit = alg._mul_monomials(k1, k2)
-                if hit is None:
-                    continue
-                key, sign = hit
-                out[key] = out.get(key, Fraction(0)) + (c1 * c2 if sign > 0 else -c1 * c2)
-        return Element(alg, out)
+        return self._combine(other, -1)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.__mul__(other)
-        return NotImplemented
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other._combine(self, -1)
+
+    def __neg__(self):
+        return _element(self.algebra, {k: -v for k, v in self._num.items()}, self._den)
+
+    def _scaled(self, p: int, q: int) -> "Element":
+        """self * p / q for integers p and q > 0."""
+        return _normalized(self.algebra, {k: v * p for k, v in self._num.items()},
+                           self._den * q)
+
+    def __mul__(self, other):
+        if not isinstance(other, Element):
+            if isinstance(other, (int, Fraction)):
+                return self._scaled(other.numerator, other.denominator)
+            return NotImplemented
+        alg = self.algebra
+        if other.algebra is not alg and other.algebra != alg:
+            raise ValueError("algebra descriptor mismatch")
+        table = alg._table
+        right = other._num.items()
+        out = {}
+        for i, a in self._num.items():
+            row = table[i]
+            for j, b in right:
+                k = row[j]
+                if k > 0:
+                    k -= 1
+                    out[k] = out.get(k, 0) + a * b
+                elif k:
+                    k = -k - 1
+                    out[k] = out.get(k, 0) - a * b
+        return _normalized(alg, out, self._den * other._den)
+
+    __rmul__ = __mul__  # only rationals reach it, and they commute
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return Element(self.algebra, {k: v / c for k, v in self.terms.items()})
+            p, q = other.numerator, other.denominator
+            if not p:
+                raise ZeroDivisionError("division of an Element by zero")
+            return self._scaled(q, p) if p > 0 else self._scaled(-q, -p)
         return NotImplemented
 
     def _one(self):
         return self.algebra.one()
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.algebra.scalar(other)
         if not isinstance(other, Element):
-            return NotImplemented
-        return self.algebra == other.algebra and self.terms == other.terms
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = _monomial(self.algebra, 0, other)
+        return (self._num == other._num and self._den == other._den
+                and (self.algebra is other.algebra or self.algebra == other.algebra))
 
     __hash__ = None
 
@@ -292,33 +411,37 @@ class Element(RingElement):
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def scalar_part(self) -> Fraction:
-        return self.terms.get((0, 0), Fraction(0))
+        return Fraction(self._num.get(0, 0), self._den)
 
     def is_rational(self) -> bool:
-        return all(k == (0, 0) for k in self.terms)
+        return all(i == 0 for i in self._num)
 
     def degree(self):
         """Common degree of all terms, or None when the element is mixed.
 
         The degree of zero is undefined and raises ValueError.
         """
-        if not self.terms:
+        if not self._num:
             raise ValueError("degree of zero is undefined")
-        degs = {self.algebra.monomial_degree(*k) for k in self.terms}
-        if len(degs) == 1:
-            return next(iter(degs))
-        return None
+        degrees = self.algebra._degrees
+        indices = iter(self._num)
+        deg = degrees[next(indices)]
+        for i in indices:
+            if degrees[i] is not deg:
+                return None
+        return deg
 
     def graded_parts(self):
         """List of (degree, homogeneous part) pairs, deterministic order."""
+        degrees = self.algebra._degrees
         buckets = {}
-        for k, v in self.terms.items():
-            buckets.setdefault(self.algebra.monomial_degree(*k), {})[k] = v
-        return [(deg, Element(self.algebra, terms))
-                for deg, terms in sorted(buckets.items(), key=lambda kv: kv[0].mask)]
+        for i, v in self._num.items():
+            buckets.setdefault(degrees[i], {})[i] = v
+        return [(deg, _normalized(self.algebra, num, self._den))
+                for deg, num in sorted(buckets.items(), key=lambda kv: kv[0].mask)]
 
     def strip_odd(self) -> "Element":
         """Reduction mod the ideal generated by odd elements, lifted back.
@@ -327,23 +450,30 @@ class Element(RingElement):
         (those of even degree are products of two odd ones), so this keeps
         exactly the pure Clifford terms.
         """
-        return Element(self.algebra, {k: v for k, v in self.terms.items() if k[1] == 0})
+        size = 1 << self.algebra.n
+        if all(i < size for i in self._num):
+            return self
+        return _normalized(self.algebra, {i: v for i, v in self._num.items() if i < size},
+                           self._den)
 
     # -- inversion ----------------------------------------------------------
 
     def inverse(self) -> "Element":
         """Two-sided inverse; raises NotInvertibleError if none exists."""
-        if not self.terms:
+        if not self._num:
             raise NotInvertibleError("zero is not invertible")
         core = self.strip_odd()
         if core.is_zero:
             raise NotInvertibleError("element lies in the nilpotent odd ideal")
-        return self._lift_inverse(core, _clifford_inverse(core), self.algebra.num_odd)
+        core_inv = _clifford_inverse(core)
+        if core is self:
+            return core_inv
+        return self._lift_inverse(core, core_inv, self.algebra.num_odd)
 
     # -- formatting ----------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
+        if not self._num:
             return "0"
         bits = []
         for (cl, odd), c in sorted(self.terms.items()):
@@ -365,51 +495,68 @@ class Element(RingElement):
     __repr__ = __str__
 
 
+_new_object = object.__new__
+
+
+def _element(alg: Algebra, num: dict, den: int) -> Element:
+    """An Element from numerators and a denominator already in canonical form."""
+    e = _new_object(Element)
+    e.algebra = alg
+    e._num = num
+    e._den = den
+    return e
+
+
+def _normalized(alg: Algebra, num: dict, den: int) -> Element:
+    """The canonical Element of num / den, for integer numerators and den > 0."""
+    if 0 in num.values():
+        num = {k: v for k, v in num.items() if v}
+    if den != 1:
+        if not num:
+            den = 1
+        else:
+            g = gcd(den, *num.values())
+            if g != 1:
+                den //= g
+                num = {k: v // g for k, v in num.items()}
+    return _element(alg, num, den)
+
+
+def _monomial(alg: Algebra, index: int, coeff) -> Element:
+    """coeff * e_index for a rational coeff (anything Fraction accepts)."""
+    if not isinstance(coeff, (int, Fraction)):
+        coeff = Fraction(coeff)
+    if not coeff:
+        return _element(alg, {}, 1)
+    return _element(alg, {index: coeff.numerator}, coeff.denominator)
+
+
 def _clifford_inverse(a: Element) -> Element:
     """Inverse of a pure Clifford element.
 
-    Single monomials invert directly from their square; otherwise solve the
-    2^n x 2^n left-multiplication system over Q exactly.
+    A single monomial c e_m inverts directly from its square e_m^2 = s as
+    (s / c) e_m.  Otherwise the 2^n x 2^n left-multiplication system is
+    inverted over Q by ``ringmat.mat_inverse``, which refuses exactly when a
+    is a zero divisor.
     """
     alg = a.algebra
-    if len(a.terms) == 1:
-        (mask, _), c = next(iter(a.terms.items()))
-        _, s = alg._mul_monomials((mask, 0), (mask, 0))
-        return alg.blade(mask, Fraction(s) / c)
-    dim = 1 << alg.n
-    cols = list(range(dim))
-    # rows[r][j] = coefficient of blade r in a * e_j
-    rows = [[Fraction(0)] * dim for _ in range(dim)]
-    for j in cols:
-        for (m1, _), c1 in a.terms.items():
-            hit = alg._mul_monomials((m1, 0), (j, 0))
-            key, sign = hit
-            rows[key[0]][j] += c1 if sign > 0 else -c1
-    rhs = [Fraction(0)] * dim
-    rhs[0] = Fraction(1)
-    sol = _solve_rational(rows, rhs)
-    if sol is None:
-        raise NotInvertibleError("left-multiplication system is singular")
-    terms = {(j, 0): sol[j] for j in cols if sol[j]}
-    return Element(alg, terms)
-
-
-def _solve_rational(matrix, rhs):
-    """Exact Gaussian elimination over Q; None when the system is singular."""
-    n = len(matrix)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
+    if len(a._num) == 1:
+        (i, v), = a._num.items()
+        num = alg._table[i][i] * a._den
+        return _element(alg, {i: num if v > 0 else -num}, abs(v))
+    Q = rationals()
+    size = 1 << alg.n
+    # rows[k][j] = numerator of the coefficient of e_k in a * e_j
+    rows = [[0] * size for _ in range(size)]
+    for i, v in a._num.items():
+        row = alg._table[i]
+        for j in range(size):
+            k = row[j]
+            rows[abs(k) - 1][j] += v if k > 0 else -v
+    grid = [[Q.scalar(Fraction(x, a._den)) for x in row] for row in rows]
+    # column 0 of the inverse solves a * x = 1
+    inv = mat_inverse(grid, Q)
+    return Element(alg, {(j, 0): inv[j][0].scalar_part() for j in range(size)})
 
 
 # -- common algebras ---------------------------------------------------------

@@ -1,13 +1,16 @@
 import itertools
+import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradalg import (Algebra, GroupElement, NotInvertibleError, SeriesRing,
-                     extended_quaternions, nilpotent_exp, quaternion_units,
-                     quaternions)
+from gradalg import (Algebra, Element, GroupElement, NotInvertibleError, SeriesRing,
+                     extended_quaternions, grassmann, nilpotent_exp, quaternion_units,
+                     quaternions, rationals)
+from gradalg.jsonio import canonical_json, element_from_json, element_to_json
 
 from conftest import random_quaternion
 
@@ -290,3 +293,188 @@ class TestElementBasics:
         ring = SeriesRing(H, 3)
         assert str(ring.zero()) == "0"
         assert "z" in str(ring.zeta() + ring.one())
+
+
+KERNEL_ALGEBRAS = [rationals(), Algebra(1, 0), quaternions(), Algebra(1, 1), Algebra(1, 2),
+                   Algebra(2, 2), extended_quaternions(), grassmann(4)]
+KERNEL_IDS = ["Q", "Cl10", "H", "Cl11", "Cl12", "Cl22", "EH", "G4"]
+
+
+def _basis_keys(alg):
+    return [(cl, odd) for odd in range(1 << alg.num_odd) for cl in range(1 << alg.n)]
+
+
+def _random_element(rng, alg, density=0.6, bound=6, den=4):
+    terms = {key: Fraction(rng.randint(-bound, bound), rng.randint(1, den))
+             for key in _basis_keys(alg) if rng.random() < density}
+    return Element(alg, terms)
+
+
+def _reference_product(x, y):
+    """The dict-of-Fraction product: every pair of terms through _mul_monomials."""
+    alg = x.algebra
+    out = {}
+    for k1, c1 in x.terms.items():
+        for k2, c2 in y.terms.items():
+            hit = alg._mul_monomials(k1, k2)
+            if hit is not None:
+                key, sign = hit
+                out[key] = out.get(key, Fraction(0)) + sign * c1 * c2
+    return {k: v for k, v in out.items() if v}
+
+
+def _assert_canonical(x):
+    num, den = x._num, x._den
+    assert isinstance(den, int) and den > 0
+    assert all(isinstance(v, int) and v for v in num.values())
+    assert math.gcd(den, *num.values()) == 1
+    if not num:
+        assert den == 1
+
+
+class TestConstructorValidation:
+    def test_clifford_mask_out_of_range(self, H):
+        with pytest.raises(ValueError):
+            Element(H, {(4, 0): 1})
+        with pytest.raises(ValueError):
+            Element(H, {(-1, 0): 1})
+
+    def test_odd_mask_out_of_range(self, H, EH):
+        with pytest.raises(ValueError):
+            Element(H, {(0, 1): 1})
+        with pytest.raises(ValueError):
+            Element(EH, {(1, 4): 1})
+
+    def test_in_range_masks_accepted(self, EH):
+        x = Element(EH, {(3, 3): 2, (0, 0): Fraction(1, 2), (1, 2): 0})
+        assert x == EH.monomial(3, 3, 2) + EH.scalar(Fraction(1, 2))
+
+
+
+class TestLargeAlgebras:
+    @pytest.mark.parametrize("alg", [grassmann(20), Algebra(8, 7),
+                                     Algebra(4, 4, tuple(GroupElement(9, 1 << 8) for _ in range(8)))],
+                             ids=["G20", "Cl87", "Cl44+8"])
+    def test_sparse_product_fills_only_touched_entries(self, alg):
+        rng = random.Random(7600)
+        width = alg.n + alg.num_odd
+        filled = lambda: sum(len(row) for row in alg._table.values())
+        before = filled()
+        for _ in range(5):
+            x, y = (Element(alg, {(rng.getrandbits(alg.n), rng.getrandbits(alg.num_odd)):
+                                  rng.randint(1, 9) for _ in range(3)}) for _ in range(2))
+            assert dict((x * y).terms) == _reference_product(x, y)
+        assert width >= 15
+        assert filled() - before <= 5 * 9
+
+
+class TestProductTable:
+    @pytest.mark.parametrize("alg", KERNEL_ALGEBRAS, ids=KERNEL_IDS)
+    def test_table_matches_monomial_products(self, alg):
+        n = alg.n
+        for i, (cl1, odd1) in enumerate(_basis_keys(alg)):
+            assert i == cl1 | (odd1 << n)
+            row = alg._table[i]
+            for j, key2 in enumerate(_basis_keys(alg)):
+                hit = alg._mul_monomials((cl1, odd1), key2)
+                if hit is None:
+                    assert row[j] == 0
+                else:
+                    (cl, odd), sign = hit
+                    assert row[j] == sign * ((cl | (odd << n)) + 1)
+
+    def test_equal_algebras_share_one_table(self):
+        assert Algebra(0, 2) is not quaternions()
+        assert Algebra(0, 2)._table is quaternions()._table
+        assert extended_quaternions()._table is extended_quaternions()._table
+
+    @pytest.mark.parametrize("alg", KERNEL_ALGEBRAS, ids=KERNEL_IDS)
+    def test_product_matches_reference(self, alg):
+        rng = random.Random(7000 + alg.n * 10 + alg.num_odd)
+        for _ in range(40):
+            x, y = _random_element(rng, alg), _random_element(rng, alg)
+            prod = x * y
+            assert dict(prod.terms) == _reference_product(x, y)
+            _assert_canonical(prod)
+
+    def test_equal_algebra_operands(self):
+        x = Algebra(0, 2).generator(1)
+        y = quaternions().generator(2)
+        assert x * y == quaternions().blade(3)
+
+
+class TestCanonicalForm:
+    @pytest.mark.parametrize("alg", KERNEL_ALGEBRAS, ids=KERNEL_IDS)
+    def test_every_result_canonical(self, alg):
+        rng = random.Random(7100 + alg.n * 10 + alg.num_odd)
+        factors = [0, 1, -1, 3, -6, Fraction(2, 4), Fraction(-5, 3), Fraction(0, 7)]
+        for _ in range(20):
+            x, y = _random_element(rng, alg), _random_element(rng, alg)
+            for z in (x + y, x - y, x * y, -x, x - x, y + (-y), 2 - x, x + 1):
+                _assert_canonical(z)
+            for c in factors:
+                _assert_canonical(x * c)
+                _assert_canonical(c * x)
+                if c:
+                    _assert_canonical(x / c)
+
+    def test_division_by_zero(self, H):
+        with pytest.raises(ZeroDivisionError):
+            H.one() / 0
+
+    def test_zero_has_unit_denominator(self, H):
+        x = H.scalar(Fraction(1, 3))
+        assert (x - x)._den == 1
+        assert x * 0 == H.zero() and (x * 0)._den == 1
+
+    def test_equal_values_compare_equal(self):
+        rng = random.Random(7200)
+        for alg in KERNEL_ALGEBRAS:
+            x = _random_element(rng, alg)
+            assert (x / 3) * 3 == x
+            assert x * Fraction(2, 4) == x / 2
+            assert (x + x) / 2 == x
+            assert x * Fraction(-3, 9) == -(x / 3)
+            assert x - x == alg.zero() and x - x == 0
+
+    def test_terms_round_trip(self):
+        rng = random.Random(7300)
+        for alg in KERNEL_ALGEBRAS:
+            x = _random_element(rng, alg)
+            assert Element(alg, x.terms) == x
+
+    def test_terms_view_is_read_only(self, H):
+        x = H.scalar(2)
+        with pytest.raises(TypeError):
+            x.terms[(0, 0)] = Fraction(3)
+
+    def test_json_round_trip(self):
+        rng = random.Random(7400)
+        for alg in KERNEL_ALGEBRAS:
+            x = _random_element(rng, alg)
+            obj = json.loads(canonical_json(element_to_json(x)))
+            assert element_from_json(obj) == x
+
+
+class TestCliffordInverse:
+    @pytest.mark.parametrize("alg", KERNEL_ALGEBRAS[:6], ids=KERNEL_IDS[:6])
+    def test_multi_term_two_sided_inverse(self, alg):
+        rng = random.Random(7500 + alg.n * 10)
+        inverted = 0
+        for _ in range(30):
+            x = _random_element(rng, alg, density=0.8)
+            if x.is_zero:
+                continue
+            try:
+                y = x.inverse()
+            except NotInvertibleError:
+                continue
+            inverted += 1
+            assert x * y == alg.one() and y * x == alg.one()
+            _assert_canonical(y)
+        assert inverted >= 20
+
+    def test_zero_divisor_beyond_two_generators(self):
+        alg = Algebra(1, 2)
+        with pytest.raises(NotInvertibleError):
+            (alg.one() + alg.generator(1)).inverse()
