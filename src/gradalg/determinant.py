@@ -6,17 +6,18 @@ recovers permutation coefficients of the multilinear expansion."""
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ringmat as rm
 from .errors import (DimensionNotAdmissibleError, GradAlgError, HomogeneityError,
-                     OracleSamplingError, RegularityError)
+                     OracleSamplingError)
 from .grading import GroupElement
 from .matrices import (GradedMatrix, mat_mul, redivide_2x2, require_homogeneous,
                        scalar_mul, unitriangular_g)
-from .quasidet import _principal_name, block_quasidet
+from .quasidet import _block_reverse, _check_partition, _schur_sweep
 
 
 @dataclass(frozen=True)
@@ -32,47 +33,33 @@ def gdet_blocks(grid, sizes, ring) -> GdetResult:
     """prod_k det |X^{1..k,1..k}|_{k+1,k+1} over the nonempty blocks.
 
     Entries of each diagonal quasiminor lie in the commutative degree-0 part,
-    so the inner determinant is the classical one.
+    so the inner determinant is the classical one.  The quasiminors are the
+    pivots of the Schur sweep over the block-reversed matrix, last block first.
     """
     sizes = _nonempty_blocks(grid, sizes)
-    p = len(sizes)
-    return _quasiminor_product(grid, sizes, ring, [(k, p, k) for k in range(p)])
+    labels = range(len(sizes))[::-1]
+    dets = _pivot_dets(_block_reverse(grid, sizes), sizes[::-1], ring, labels)[::-1]
+    return GdetResult(math.prod(dets, start=ring.one()), dets)
 
 
 def gdet_blocks_ldu(grid, sizes, ring) -> GdetResult:
     """The LDU route: prod_k det |X^{k+1..p,k+1..p}|_{kk} over leading
     principal submatrices; equals the UDL route wherever both are defined."""
     sizes = _nonempty_blocks(grid, sizes)
-    return _quasiminor_product(grid, sizes, ring, [(0, k + 1, k) for k in range(len(sizes))])
+    dets = _pivot_dets(grid, sizes, ring, range(len(sizes)))
+    return GdetResult(math.prod(dets, start=ring.one()), dets)
 
 
 def _nonempty_blocks(grid, sizes):
     sizes = [s for s in sizes if s > 0]
-    if sum(sizes) != len(grid):
-        raise ValueError("partition does not match the matrix dimension")
+    _check_partition(grid, sizes)
     return sizes
 
 
-def _quasiminor_product(grid, sizes, ring, windows):
-    """Product of det |X_W|_{kk} over ``windows`` of (lo, hi, k): X_W is the
-    principal submatrix on blocks lo..hi-1 and k is one of its end blocks."""
-    off = list(itertools.accumulate(sizes, initial=0))
-    value = ring.one()
-    factors = []
-    for lo, hi, k in windows:
-        a, b = off[lo], off[hi]
-        window = [row[a:b] for row in grid[a:b]]
-        try:
-            q = block_quasidet(window, sizes[lo:hi], k - lo, k - lo, ring)
-        except GradAlgError as exc:
-            name = _principal_name({*range(lo), k, *range(hi, len(sizes))})
-            raise RegularityError(
-                f"quasiminor at block {k + 1} is undefined (submatrix {name})",
-                principal=name) from exc
-        d = rm.commutative_det(q, ring)
-        factors.append(d)
-        value = value * d
-    return GdetResult(value, tuple(factors))
+def _pivot_dets(grid, sizes, ring, labels):
+    """det of every pivot of the Schur sweep, the leading block of each step."""
+    return tuple(rm.commutative_det([row[:s] for row in S[:s]], ring)
+                 for s, S in zip(sizes, _schur_sweep(grid, sizes, ring, labels)))
 
 
 def _gdet_input(X: GradedMatrix):
@@ -204,6 +191,7 @@ def multilinear_coefficients(pattern: GradedMatrix) -> dict:
     at t = indicator(sigma) + eps * fill for |r|+1 rational eps values and
     interpolating to eps = 0, which is sound because the determinant is
     multilinear per row.  Undefined samples trigger a shifted generic fill.
+    A permutation through a zero pattern entry has coefficient 0 unsampled.
     """
     grid, sizes = _gdet_input(pattern)
     n = len(grid)
@@ -221,6 +209,9 @@ def multilinear_coefficients(pattern: GradedMatrix) -> dict:
 
 def _interpolated_coefficient(grid, sizes, ring, sigma):
     n = len(grid)
+    if any(grid[r][c].is_zero for r, c in enumerate(sigma)):
+        # the monomial carries a zero pattern entry, so it cannot occur
+        return ring.zero()
     npoints = n + 1
     for attempt in range(ORACLE_FILLS):
         fill = [[_PRIMES[(r * n + c + attempt) % len(_PRIMES)] for c in range(n)]

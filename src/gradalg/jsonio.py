@@ -20,6 +20,13 @@ from .matrices import GradedMatrix, RankVector, check_homogeneous
 from .scalars import Algebra, Element
 
 
+def _json_int(value, field):
+    # int() would truncate 1.5 and parse "1"; bool is an int subclass
+    if type(value) is not int:
+        raise SchemaError(f'"{field}" must be a JSON integer, got {value!r}')
+    return value
+
+
 def group_element_to_json(g: GroupElement):
     return list(g.bits())
 
@@ -42,8 +49,8 @@ def algebra_to_json(alg: Algebra):
 def algebra_from_json(obj) -> Algebra:
     if not isinstance(obj, dict) or "p" not in obj or "q" not in obj:
         raise SchemaError('algebra descriptor must carry "p" and "q"')
+    p, q = _json_int(obj["p"], "p"), _json_int(obj["q"], "q")
     try:
-        p, q = int(obj["p"]), int(obj["q"])
         odd = tuple(group_element_from_json(g, p + q + 1)
                     for g in obj.get("odd_degrees", []))
         return Algebra(p, q, odd)
@@ -68,12 +75,12 @@ def terms_from_json(obj, alg: Algebra) -> Element:
     for t in obj:
         if not isinstance(t, dict) or "mask" not in t or "num" not in t or "den" not in t:
             raise SchemaError('term must carry "mask", "num", "den"')
-        try:
-            mask = int(t["mask"])
-            odd = int(t.get("theta", 0))
-            c = Fraction(int(t["num"]), int(t["den"]))
-        except (ValueError, TypeError, ZeroDivisionError) as exc:
-            raise SchemaError(f"bad term: {exc}") from exc
+        mask = _json_int(t["mask"], "mask")
+        odd = _json_int(t.get("theta", 0), "theta")
+        num, den = _json_int(t["num"], "num"), _json_int(t["den"], "den")
+        if den == 0:
+            raise SchemaError("bad term: zero denominator")
+        c = Fraction(num, den)
         if not 0 <= mask < (1 << alg.n):
             raise SchemaError(f"mask {mask} out of range for {alg.n} generators")
         if not 0 <= odd < (1 << alg.num_odd):

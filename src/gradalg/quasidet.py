@@ -3,7 +3,9 @@ inversion oracle.
 
 A block partition is a tuple of positive sizes summing to the matrix
 dimension, with blocks numbered consecutively.  All block arithmetic runs
-through the flat elimination kernel with block-aware index maps.
+through the flat elimination kernel with block-aware index maps, and both
+decompositions and both determinant routes eliminate blocks through one
+forward Schur sweep.
 """
 
 from __future__ import annotations
@@ -144,50 +146,66 @@ def udl_decompose(grid, sizes, ring) -> TriangularFactors:
     turns a UDL factorization into an LDU one, and both are unique, so this
     is the LDU decomposition of the block-reversed matrix, reversed back.
     """
-    sizes = list(sizes)
     _check_partition(grid, sizes)
     rsizes = sizes[::-1]
-    labels = range(len(sizes))[::-1]
-    L, D, U = _ldu(_block_reverse(grid, sizes), rsizes, ring, labels)
-    U, D, L = (_block_reverse(M, rsizes) for M in (L, D, U))
-    return TriangularFactors(U, D, L, rm.mat_mul(U, D), rm.mat_mul(D, L))
+    f = _ldu(_block_reverse(grid, sizes), rsizes, ring, range(len(sizes))[::-1])
+    return TriangularFactors(*(_block_reverse(M, rsizes)
+                               for M in (f.L, f.D, f.U, f.frak_l, f.frak_u)))
 
 
 def ldu_decompose(grid, sizes, ring) -> TriangularFactors:
     """Mirror decomposition X = L D U with D_kk the quasiminor of the leading
     k-block principal submatrix at its last block."""
-    L, D, U = _ldu(grid, list(sizes), ring, range(len(sizes)))
-    return TriangularFactors(U, D, L, rm.mat_mul(D, U), rm.mat_mul(L, D))
+    return _ldu(grid, sizes, ring, range(len(sizes)))
 
 
-def _ldu(grid, sizes, ring, labels):
-    """Recursive Schur elimination of the first block; ``labels`` are the
-    input's 0-based block numbers of the blocks of ``grid``."""
+def _ldu(grid, sizes, ring, labels) -> TriangularFactors:
+    """X = L D U read off the Schur sweep: the leading block row and block
+    column of S_t are block row t of frak_u = D U and block column t of
+    frak_l = L D, and their corner is D_tt."""
     _check_partition(grid, sizes)
     n = len(grid)
-    if len(sizes) < 2:
-        return rm.identity(ring, n), rm.copy_grid(grid), rm.identity(ring, n)
-    s0 = sizes[0]
-    A = [row[:s0] for row in grid[:s0]]
-    B = [row[s0:] for row in grid[:s0]]
-    C = [row[:s0] for row in grid[s0:]]
-    D_hat = [row[s0:] for row in grid[s0:]]
-    try:
-        A_inv = rm.mat_inverse(A, ring)
-    except NotInvertibleError as exc:
-        name = _principal_name(labels[1:])
-        raise RegularityError(
-            f"principal block submatrix {name} is not invertible", principal=name) from exc
-    schur = rm.mat_sub(D_hat, rm.mat_mul(C, rm.mat_mul(A_inv, B)))
-    L_in, D_in, U_in = _ldu(schur, sizes[1:], ring, labels[1:])
-    lower_left = rm.mat_mul(C, A_inv)
-    upper_right = rm.mat_mul(A_inv, B)
-    z_up = rm.zeros(ring, n - s0, s0)
-    z_right = rm.zeros(ring, s0, n - s0)
-    L = _assemble([[rm.identity(ring, s0), z_right], [lower_left, L_in]])
-    D = _assemble([[A, z_right], [z_up, D_in]])
-    U = _assemble([[rm.identity(ring, s0), upper_right], [z_up, U_in]])
-    return L, D, U
+    U, L = rm.identity(ring, n), rm.identity(ring, n)
+    D, frak_u, frak_l = (rm.zeros(ring, n, n) for _ in range(3))
+    a = 0
+    for s, S in zip(sizes, _schur_sweep(grid, sizes, ring, labels)):
+        top, left = S[:s], [row[:s] for row in S]
+        _paste(frak_u, a, a, top)
+        _paste(frak_l, a, a, left)
+        _paste(D, a, a, left[:s])
+        if a + s < n:
+            pivot_inv = rm.mat_inverse(left[:s], ring)
+            _paste(U, a, a + s, rm.mat_mul(pivot_inv, [row[s:] for row in top]))
+            _paste(L, a + s, a, rm.mat_mul(left[s:], pivot_inv))
+        a += s
+    return TriangularFactors(U, D, L, frak_u, frak_l)
+
+
+def _paste(grid, r, c, block):
+    """Overwrite ``grid`` with ``block`` from position (r, c)."""
+    for i, row in enumerate(block):
+        grid[r + i][c:c + len(row)] = row
+
+
+def _schur_sweep(grid, sizes, ring, labels):
+    """[S_0 = X, S_1, ...]: S_{t+1} is the Schur complement of the leading
+    block of S_t.  By heredity that leading block is the quasiminor of the
+    leading t+1 blocks of X at its last block, and it is the only submatrix
+    inverted.  ``labels`` are the input's 0-based block numbers of the blocks
+    of ``grid``, for naming a pivot that fails to invert.
+    """
+    steps = [grid]
+    for t, s in enumerate(sizes[:-1]):
+        try:
+            steps.append(block_quasidet(steps[-1], (s, len(steps[-1]) - s), 1, 1, ring))
+        except NotInvertibleError as exc:
+            # deleting blocks a..b, numbered from 1, leaves the failed pivot's
+            # principal submatrix
+            a, b = min(labels[t + 1:]) + 1, max(labels[t + 1:]) + 1
+            name = f"X^{{{a}..{b},{a}..{b}}}"
+            raise RegularityError(f"principal block submatrix {name} is not invertible",
+                                  principal=name) from exc
+    return steps
 
 
 def _block_reverse(grid, sizes):
@@ -195,13 +213,6 @@ def _block_reverse(grid, sizes):
     off = list(accumulate(sizes, initial=0))
     order = [i for k in reversed(range(len(sizes))) for i in range(off[k], off[k + 1])]
     return [[grid[r][c] for c in order] for r in order]
-
-
-def _principal_name(deleted):
-    """X^{a..b,a..b} for a contiguous run of 0-based block numbers: deleting
-    those blocks leaves the principal submatrix that failed to invert."""
-    a, b = min(deleted) + 1, max(deleted) + 1
-    return f"X^{{{a}..{b},{a}..{b}}}"
 
 
 def _check_partition(grid, sizes):

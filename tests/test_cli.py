@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from gradalg import (GradedMatrix, GroupElement, SchemaError,
-                     identity_matrix, quaternion_units, scalar_mul)
+                     identity_matrix, quaternion_units, scalar_mul, zero_matrix)
 from gradalg.cli import main
 from gradalg.jsonio import (algebra_from_json, algebra_to_json, canonical_json,
                             element_from_json, element_to_json, matrix_digest,
@@ -57,6 +57,30 @@ class TestJsonRoundTrips:
         with pytest.raises(SchemaError):
             matrix_from_json({"algebra": {"p": 0, "q": 2}, "ranks": [1, 1, 1],
                               "degree": [0, 0, 0], "entries": []})
+
+    @pytest.mark.parametrize("bad", [1.5, 1.0, True, "1", None],
+                             ids=["fraction", "float", "bool", "string", "null"])
+    @pytest.mark.parametrize("field", ["mask", "theta", "num", "den", "p", "q"])
+    def test_integer_fields_reject_non_integers(self, EH, field, bad):
+        # int() would have truncated 1.5 to 1 and loaded a different matrix
+        X = identity_matrix(EH, rank_even((1, 1, 1, 1)))
+        obj = matrix_to_json(X)
+        if field in ("p", "q"):
+            obj["algebra"][field] = bad
+        else:
+            obj["entries"][0][0][0][field] = bad
+        with pytest.raises(SchemaError, match=f'"{field}" must be a JSON integer'):
+            matrix_from_json(obj)
+
+    def test_non_integer_numerator_exits_2(self, tmp_path, H, capsys):
+        obj = matrix_to_json(identity_matrix(H, rank_even((1, 1, 1, 1))))
+        obj["entries"][0][0][0]["num"] = 1.5
+        path = tmp_path / "fraction.json"
+        path.write_text(json.dumps(obj))
+        assert main(["gdet", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert '"num" must be a JSON integer' in captured.err
 
     def test_homogeneity_validated_on_load(self, H, units):
         i, _, _ = units
@@ -133,6 +157,15 @@ class TestSubcommands:
         by_perm = {tuple(row["perm"]): row["coeff"]["terms"]
                    for row in out["coefficients"]}
         assert by_perm[(0, 1, 2, 3)] == [{"den": 1, "mask": 0, "num": 1}]
+
+    def test_gdet_coeffs_zero_pattern(self, tmp_path, H, capsys):
+        # every coefficient of the zero pattern is 0; none needs sampling
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(matrix_to_json(zero_matrix(H, rank_even((1, 1, 0, 0))))))
+        assert main(["gdet-coeffs", "--pattern", str(path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert [row["perm"] for row in out["coefficients"]] == [[0, 1], [1, 0]]
+        assert all(row["coeff"] == {"terms": []} for row in out["coefficients"])
 
     def test_gdet_coeffs_normalized(self, tmp_path, H, capsys):
         pattern = unit_pattern_1111(H)

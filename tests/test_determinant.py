@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from gradalg import (Algebra, DimensionNotAdmissibleError, GradedMatrix, GroupElement,
-                     NotInvertibleError, grassmann,
+                     NotInvertibleError, block_quasidet, grassmann,
                      HomogeneityError, RankVector, RegularityError,
                      elementary_sandwich_check, gdet0,
                      gdet_certified, gdet_graded, gdet_ldu, identity_matrix,
@@ -170,6 +170,50 @@ class TestAxioms:
                     block = [row[off[k]:off[k + 1]] for row in fac.D[off[k]:off[k + 1]]]
                     assert f == rm.commutative_det(block, H)
             return
+
+    @pytest.mark.parametrize("alg_name,evens", [
+        ("H", (2, 2, 2, 2)), ("EH", (1, 1, 1, 1)), ("EH", (2, 1, 1, 0))])
+    def test_factors_match_defining_windows(self, alg_name, evens, request, rng):
+        # independent of the elimination behind both routes: factor k is det
+        # of the quasiminor at block k of its own principal window, the
+        # trailing blocks k..p-1 for UDL and the leading 0..k for LDU
+        alg = request.getfixturevalue(alg_name)
+        rk = rank_even(evens)
+        sizes = [s for s in evens if s > 0]
+        p = len(sizes)
+        off = list(itertools.accumulate(sizes, initial=0))
+        windows = {"udl": [(k, p, k) for k in range(p)],
+                   "ldu": [(0, k + 1, k) for k in range(p)]}
+
+        def window_dets(grid, route):
+            out = []
+            for lo, hi, k in windows[route]:
+                window = [row[off[lo]:off[hi]] for row in grid[off[lo]:off[hi]]]
+                q = block_quasidet(window, sizes[lo:hi], k - lo, k - lo, alg)
+                out.append(rm.commutative_det(q, alg))
+            return out
+
+        checked = {"udl": 0, "ldu": 0}
+        # refusals are checked too; over EH most draws have a singular window
+        for _ in range(80):
+            if min(checked.values()) >= 8:
+                break
+            X = random_invertible(rng, alg, rk)
+            for route in windows:
+                try:
+                    want = window_dets(X.grid(), route)
+                except NotInvertibleError:
+                    with pytest.raises(RegularityError):
+                        gdet_certified(X, route)
+                    continue
+                res = gdet_certified(X, route)
+                assert res.factors == tuple(want)
+                prod = alg.one()
+                for f in want:
+                    prod = prod * f
+                assert res.value == prod
+                checked[route] += 1
+        assert min(checked.values()) >= 8
 
     def test_requires_degree_zero_and_even(self, H, units, EH):
         i, _, _ = units

@@ -399,10 +399,14 @@ class TestUDL:
         # a zero in the corner the route inverts first
         corner = ([[one, one], [one, zero]] if order == "udl"
                   else [[zero, one], [one, one]])
-        want = {"udl": ("X^{1..1,1..1}", "X^{1..1,1..1}"),
-                "ldu": ("X^{3..3,3..3}", "X^{2..2,2..2}")}[order]
+        # two singular principal submatrices: the smaller one is named
+        twice = ([[one, one, one], [one, zero, zero], [one, zero, zero]] if order == "udl"
+                 else [[zero, zero, one], [zero, zero, one], [one, one, one]])
+        want = {"udl": ("X^{1..1,1..1}", "X^{1..1,1..1}", "X^{1..2,1..2}"),
+                "ldu": ("X^{3..3,3..3}", "X^{2..2,2..2}", "X^{2..3,2..3}")}[order]
         for grid, sizes, name in ((ones, (1, 1, 1), want[0]),
-                                  (corner, (1, 1), want[1])):
+                                  (corner, (1, 1), want[1]),
+                                  (twice, (1, 1, 1), want[2])):
             with pytest.raises(RegularityError) as info:
                 func(grid, sizes, Q)
             assert info.value.principal == name
