@@ -3,7 +3,8 @@ and drive seeded property sweeps with machine-readable reports.
 
 Exit codes: 0 success, 1 property failure, 2 schema violation, 3 homogeneity
 violation, 4 computation error, 5 internal error (an exception no input
-should cause, reported with its traceback).
+should cause, reported with its traceback), 141 standard output closed by
+its reader (128 + SIGPIPE, as a shell reports a writer killed by SIGPIPE).
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ EXIT_SCHEMA = 2
 EXIT_HOMOGENEITY = 3
 EXIT_COMPUTE = 4
 EXIT_INTERNAL = 5
+EXIT_BROKEN_PIPE = 141
 
 PROPERTIES = ("multiplicativity", "heredity", "homological", "liouville",
               "dieudonne", "udl")
@@ -314,7 +316,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # flush here, so a reader that went away is met inside this handler
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the recipe of the Python docs (signal module, "Note on SIGPIPE"):
+        # point stdout at devnull, so the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

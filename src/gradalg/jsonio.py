@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from fractions import Fraction
+from math import gcd
 
 from .errors import HomogeneityError, SchemaError
 from .grading import GroupElement
 from .matrices import GradedMatrix, RankVector, check_homogeneous
-from .scalars import Algebra, Element
+from .scalars import Algebra, Element, _normalized
 
 
 def _json_int(value, field):
@@ -32,7 +32,8 @@ def group_element_to_json(g: GroupElement):
 
 
 def group_element_from_json(obj, m=None) -> GroupElement:
-    if not isinstance(obj, list) or not obj or any(b not in (0, 1) for b in obj):
+    if not isinstance(obj, list) or not obj or any(
+            _json_int(b, "group element") not in (0, 1) for b in obj):
         raise SchemaError("group element must be a nonempty array of 0/1")
     if m is not None and len(obj) != m:
         raise SchemaError(f"group element must have {m} coordinates")
@@ -71,23 +72,33 @@ def terms_to_json(e: Element):
 def terms_from_json(obj, alg: Algebra) -> Element:
     if not isinstance(obj, list):
         raise SchemaError("scalar must be a term list")
-    terms = {}
+    # integer numerators over a running least common denominator, normalized
+    # once; repeated monomials add up
+    nums, den = {}, 1
     for t in obj:
         if not isinstance(t, dict) or "mask" not in t or "num" not in t or "den" not in t:
             raise SchemaError('term must carry "mask", "num", "den"')
         mask = _json_int(t["mask"], "mask")
         odd = _json_int(t.get("theta", 0), "theta")
-        num, den = _json_int(t["num"], "num"), _json_int(t["den"], "den")
-        if den == 0:
+        num, d = _json_int(t["num"], "num"), _json_int(t["den"], "den")
+        if d == 0:
             raise SchemaError("bad term: zero denominator")
-        c = Fraction(num, den)
         if not 0 <= mask < (1 << alg.n):
             raise SchemaError(f"mask {mask} out of range for {alg.n} generators")
         if not 0 <= odd < (1 << alg.num_odd):
             raise SchemaError(f"theta mask {odd} out of range")
-        key = (mask, odd)
-        terms[key] = terms.get(key, Fraction(0)) + c
-    return Element(alg, terms)
+        if d < 0:
+            num, d = -num, -d
+        if d != den:
+            grow = d // gcd(den, d)
+            if grow != 1:
+                for k in nums:
+                    nums[k] *= grow
+                den *= grow
+            num *= den // d
+        key = mask | (odd << alg.n)
+        nums[key] = nums.get(key, 0) + num
+    return _normalized(alg, nums, den)
 
 
 def element_to_json(e: Element):
@@ -102,7 +113,7 @@ def element_from_json(obj) -> Element:
 
 
 def ranks_from_json(obj, m: int) -> RankVector:
-    if not isinstance(obj, list) or not all(isinstance(r, int) and r >= 0 for r in obj):
+    if not isinstance(obj, list) or not all(_json_int(r, "ranks") >= 0 for r in obj):
         raise SchemaError("ranks must be an array of nonnegative integers")
     if len(obj) == 1 << m:
         return RankVector(m, obj)

@@ -49,18 +49,17 @@ class RankVector:
             out.append(out[-1] + r)
         return tuple(out)
 
-    def block_of(self, flat: int) -> int:
-        """Block index of a flat row/column index."""
-        if not 0 <= flat < self.total:
-            raise IndexError("flat index out of range")
-        for k in range(len(self.ranks)):
-            if flat < self.offsets[k + 1]:
-                return k
-        raise IndexError("flat index out of range")
-
     def weight(self, flat: int) -> GroupElement:
         """w_alpha: the degree labelling the block that owns a flat index."""
-        return self.order[self.block_of(flat)]
+        if not 0 <= flat < self.total:
+            raise IndexError("flat index out of range")
+        return self.weights[flat]
+
+    @cached_property
+    def weights(self) -> tuple:
+        """``weight(i)`` for every flat index i."""
+        order = self.order
+        return tuple(order[k] for k, r in enumerate(self.ranks) for _ in range(r))
 
     @property
     def is_purely_even(self) -> bool:
@@ -213,14 +212,17 @@ def unitriangular_g(alpha: int, beta: int, lam, ranks: RankVector, ring=None) ->
 
 def check_homogeneous(X: GradedMatrix) -> bool:
     """True iff every entry is zero or homogeneous of its block-law degree."""
-    ro, co = X.row_ranks, X.col_ranks
-    for r, row in enumerate(X.entries):
-        wr = ro.weight(r)
-        for c, v in enumerate(row):
+    m = X.degree.m
+    # w_r + w_c + degree as masks, since (Z2)^m adds by XOR; the weights are
+    # looked up once per row and column
+    col_masks = [w.mask for w in X.col_ranks.weights]
+    for row, wr in zip(X.entries, X.row_ranks.weights):
+        target = wr.mask ^ X.degree.mask
+        for v, wc in zip(row, col_masks):
             if v.is_zero:
                 continue
             d = v.degree()
-            if d is None or d != wr + co.weight(c) + X.degree:
+            if d is None or d.m != m or d.mask ^ wc != target:
                 return False
     return True
 

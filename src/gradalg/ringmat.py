@@ -1,9 +1,13 @@
 """Dense matrix kernel over a noncommutative scalar ring.
 
-Grids are lists of row lists whose entries support +, -, *, ``is_zero`` and
-``inverse()``.  One exact elimination routine serves every block operation in
-the package: pivots are searched downward for an invertible entry, mirroring
-the formal regime in which all needed inverses are assumed to exist.
+Grids are lists of row lists whose entries support +, -, *, ``is_zero``,
+``inverse()`` and ``_dot(xs, ys)``, the sum of x*y over ``zip(xs, ys)``
+(``scalars.RingElement``).  Every dot product of ``mat_mul`` and of
+Berkowitz's powers and moments is one ``_dot`` call on the row's first
+entry, so the scalar ring accumulates the whole sum exactly and normalizes
+once.  One exact elimination routine serves every block operation in the
+package: pivots are searched downward for an invertible entry, mirroring the
+formal regime in which all needed inverses are assumed to exist.
 """
 
 from __future__ import annotations
@@ -41,11 +45,8 @@ def mat_neg(a):
 
 
 def _dot(xs, ys):
-    acc = None
-    for x, y in zip(xs, ys):
-        term = x * y
-        acc = term if acc is None else acc + term
-    return acc
+    # None for an empty sum; the entries stop at the shorter side
+    return xs[0]._dot(xs, ys) if xs and ys else None
 
 
 def mat_mul(a, b):

@@ -230,7 +230,12 @@ def _table_of(alg: Algebra) -> _Table:
 class RingElement:
     """Ring code shared by Element and series.NilpotentPoly; each subclass
     supplies ``_coerce``, ``+``, unary ``-``, ``*``, ``is_zero``, ``degree``,
-    ``inverse`` and ``_one``."""
+    ``inverse``, ``_one`` and ``_dot``.
+
+    ``x._dot(xs, ys)`` is sum x*y over ``zip(xs, ys)`` for entries of x's
+    ring, equal to the left fold of the products; ``ringmat`` takes every dot
+    product through it.
+    """
 
     __slots__ = ()
 
@@ -366,23 +371,10 @@ class Element(RingElement):
             if isinstance(other, (int, Fraction)):
                 return self._scaled(other.numerator, other.denominator)
             return NotImplemented
-        alg = self.algebra
-        if other.algebra is not alg and other.algebra != alg:
-            raise ValueError("algebra descriptor mismatch")
-        table = alg._table
-        right = other._num.items()
-        out = {}
-        for i, a in self._num.items():
-            row = table[i]
-            for j, b in right:
-                k = row[j]
-                if k > 0:
-                    k -= 1
-                    out[k] = out.get(k, 0) + a * b
-                elif k:
-                    k = -k - 1
-                    out[k] = out.get(k, 0) - a * b
-        return _normalized(alg, out, self._den * other._den)
+        return _sum_of_products(self.algebra, ((self, other),))
+
+    def _dot(self, xs, ys):
+        return _sum_of_products(self.algebra, zip(xs, ys))
 
     __rmul__ = __mul__  # only rationals reach it, and they commute
 
@@ -520,6 +512,53 @@ def _normalized(alg: Algebra, num: dict, den: int) -> Element:
                 den //= g
                 num = {k: v // g for k, v in num.items()}
     return _element(alg, num, den)
+
+
+def _sum_of_products(alg: Algebra, pairs) -> Element:
+    """The canonical Element of sum x*y over (x, y) pairs of Elements of alg.
+
+    Products are read off the shared table and their integer numerators added
+    over a running least common denominator, so the whole sum is normalized
+    once; the result equals the left fold of ``x*y`` structurally.
+    """
+    table = alg._table
+    out = {}
+    den = 1
+    for x, y in pairs:
+        if (x.algebra is not alg and x.algebra != alg) or (y.algebra is not alg
+                                                           and y.algebra != alg):
+            raise ValueError("algebra descriptor mismatch")
+        left, right = x._num, y._num
+        if not left or not right:
+            continue
+        d = x._den * y._den
+        scale = 1
+        if d != den:
+            if not out:
+                den = d
+            else:
+                # lcm(den, d) = den * grow = d * scale
+                g = gcd(den, d)
+                scale = den // g
+                grow = d // g
+                if grow != 1:
+                    for k in out:
+                        out[k] *= grow
+                    den *= grow
+        right = right.items()
+        for i, a in left.items():
+            if scale != 1:
+                a *= scale
+            row = table[i]
+            for j, b in right:
+                k = row[j]
+                if k > 0:
+                    k -= 1
+                    out[k] = out.get(k, 0) + a * b
+                elif k:
+                    k = -k - 1
+                    out[k] = out.get(k, 0) - a * b
+    return _normalized(alg, out, den)
 
 
 def _monomial(alg: Algebra, index: int, coeff) -> Element:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotInvertibleError
-from .scalars import Algebra, Element, RingElement
+from .scalars import Algebra, Element, RingElement, _sum_of_products
 
 DEFAULT_ORDER = 8
 
@@ -67,7 +67,7 @@ class NilpotentPoly(RingElement):
 
     def _coerce(self, other):
         if isinstance(other, NilpotentPoly):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise ValueError("series ring mismatch")
             return other
         if isinstance(other, Element):
@@ -94,18 +94,26 @@ class NilpotentPoly(RingElement):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return self.ring.zero()
+        return self._dot((self,), (other,))
+
+    def _dot(self, xs, ys):
+        """sum x*y over zip(xs, ys): coefficient d of zeta^d is one scalar
+        sum of products over every pair of coefficients with degrees a + b = d,
+        truncated at the order K."""
         K = self.ring.order
-        out = [self.ring.base.zero()] * min(K, len(self.coeffs) + len(other.coeffs) - 1)
-        for a, ca in enumerate(self.coeffs):
-            if ca.is_zero:
-                continue
-            for b, cb in enumerate(other.coeffs):
-                if a + b >= K:
-                    break
-                out[a + b] = out[a + b] + ca * cb
-        return NilpotentPoly(self.ring, out)
+        buckets = [[] for _ in range(K)]
+        for x, y in zip(xs, ys):
+            x, y = self._coerce(x), self._coerce(y)
+            right = y.coeffs
+            for a, ca in enumerate(x.coeffs):
+                if ca.is_zero:
+                    continue
+                for d, cb in enumerate(right[:K - a], a):
+                    buckets[d].append((ca, cb))
+        while buckets and not buckets[-1]:
+            buckets.pop()
+        base = self.ring.base
+        return NilpotentPoly(self.ring, [_sum_of_products(base, pairs) for pairs in buckets])
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):

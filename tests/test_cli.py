@@ -3,16 +3,21 @@ determinism of seeded property reports."""
 
 import hashlib
 import json
+import math
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from gradalg import (GradedMatrix, GroupElement, SchemaError,
+from gradalg import (Element, GradedMatrix, GroupElement, SchemaError,
                      identity_matrix, quaternion_units, scalar_mul, zero_matrix)
 from gradalg.cli import main
 from gradalg.jsonio import (algebra_from_json, algebra_to_json, canonical_json,
                             element_from_json, element_to_json, matrix_digest,
-                            matrix_from_json, matrix_to_json)
+                            matrix_from_json, matrix_to_json, terms_from_json)
 from gradalg.randgen import random_matrix
 
 from reference_data import rank_even, unit_pattern_1111
@@ -71,6 +76,43 @@ class TestJsonRoundTrips:
             obj["entries"][0][0][0][field] = bad
         with pytest.raises(SchemaError, match=f'"{field}" must be a JSON integer'):
             matrix_from_json(obj)
+
+    def test_terms_add_up_over_one_denominator(self, EH):
+        # repeated monomials, negative and unreduced denominators, zeros
+        rng = random.Random(4100)
+        for _ in range(40):
+            obj, want = [], {}
+            for _ in range(rng.randint(0, 6)):
+                key = (rng.randrange(4), rng.randrange(4))
+                num, den = rng.randint(-6, 6), rng.choice([1, 2, -3, 4, 6, -9])
+                obj.append({"mask": key[0], "theta": key[1], "num": num, "den": den})
+                want[key] = want.get(key, Fraction(0)) + Fraction(num, den)
+            got = terms_from_json(obj, EH)
+            assert got == Element(EH, want)
+            assert math.gcd(got._den, *got._num.values()) == 1 and got._den > 0
+            assert not got._num or all(got._num.values())
+
+    def test_term_errors_keep_their_order(self, H):
+        with pytest.raises(SchemaError, match="zero denominator"):
+            terms_from_json([{"mask": 9, "num": 1, "den": 0}], H)
+        with pytest.raises(SchemaError, match="mask 9 out of range"):
+            terms_from_json([{"mask": 1, "num": 1, "den": 2},
+                             {"mask": 9, "num": 1, "den": 3}], H)
+        with pytest.raises(SchemaError, match="theta mask 1 out of range"):
+            terms_from_json([{"mask": 1, "theta": 1, "num": 1, "den": 2}], H)
+
+    @pytest.mark.parametrize("field,bad", [
+        ("ranks", [True, 1, 0, 0]), ("ranks", [1.0, 1, 1, 1]),
+        ("degree", [0.0, False, 0]), ("degree", [0, 0, True])])
+    def test_ranks_and_degree_reject_non_integers(self, tmp_path, H, field, bad, capsys):
+        obj = matrix_to_json(identity_matrix(H, rank_even((1, 1, 1, 1))))
+        obj[field] = bad
+        with pytest.raises(SchemaError, match="JSON integer"):
+            matrix_from_json(obj)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        assert main(["gdet", "--input", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("schema error:")
 
     def test_non_integer_numerator_exits_2(self, tmp_path, H, capsys):
         obj = matrix_to_json(identity_matrix(H, rank_even((1, 1, 1, 1))))
@@ -355,6 +397,39 @@ class TestCheckCommand:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.startswith("internal error: RuntimeError: stub bug\n")
+
+    def test_closed_stdout_ends_quietly(self, tmp_path, capsys, monkeypatch):
+        sink = open(tmp_path / "stdout", "w")
+
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+            def fileno(self):
+                return sink.fileno()
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["check", "--property", "udl", "--trials", "1", "--seed", "5"]) == 141
+        sink.close()
+        assert capsys.readouterr().err == ""
+
+    def test_closed_pipe_in_a_subprocess(self):
+        # the reader is gone before the report is written
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), "..", "src"),
+             os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gradalg", "check", "--property", "udl",
+             "--trials", "1", "--seed", "5"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert err == b""
 
     @pytest.mark.parametrize("prop,ranks,trials", [
         ("multiplicativity", "1,1,1,1", "0"), ("udl", "1,1,1,1", "-3"),

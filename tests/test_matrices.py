@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from gradalg import (GradedMatrix, HomogeneityError, RankVector,
@@ -42,6 +44,32 @@ class TestHomogeneity:
         grid[0][0] = i
         X = GradedMatrix(H, rk, rk, ZERO3, grid)
         assert not check_homogeneous(X)
+
+    @pytest.mark.parametrize("degree", [(0, 0, 0), (0, 1, 1)])
+    def test_mismatch_in_last_block(self, H, units, degree):
+        # only the bottom-right entry of the last block breaks the law
+        from gradalg import GroupElement
+        i, j, _ = units
+        rk = rank_even((0, 2, 1, 2))
+        d = GroupElement.from_bits(degree)
+        X = random_matrix(random.Random(31), H, rk, d)
+        assert check_homogeneous(X)
+        n = rk.total
+        grid = X.grid()
+        want = rk.weight(n - 1) + rk.weight(n - 1) + d
+        grid[n - 1][n - 1] = j if i.degree() == want else i
+        assert not check_homogeneous(GradedMatrix(H, rk, rk, d, grid))
+        grid[n - 1][n - 1] = H.zero()
+        assert check_homogeneous(GradedMatrix(H, rk, rk, d, grid))
+
+    def test_other_arity_never_matches(self, units):
+        # a degree of another arity is not the block-law degree, even with
+        # the same mask
+        from gradalg import Algebra
+        alg = Algebra(0, 3)
+        rk = RankVector.from_even_half(3, (1, 0, 0, 0))
+        X = GradedMatrix(alg, rk, rk, ZERO3, [[alg.one()]])
+        assert not check_homogeneous(X) and X.entries[0][0].degree().mask == 0
 
 
 class TestScalarAction:

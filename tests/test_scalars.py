@@ -1,6 +1,8 @@
+import functools
 import itertools
 import json
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -10,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 from gradalg import (Algebra, Element, GroupElement, NotInvertibleError, SeriesRing,
                      extended_quaternions, grassmann, nilpotent_exp, quaternion_units,
                      quaternions, rationals)
+from gradalg import ringmat as rm
+from gradalg.series import NilpotentPoly
 from gradalg.jsonio import canonical_json, element_from_json, element_to_json
 
 from conftest import random_quaternion
@@ -478,3 +482,122 @@ class TestCliffordInverse:
         alg = Algebra(1, 2)
         with pytest.raises(NotInvertibleError):
             (alg.one() + alg.generator(1)).inverse()
+
+
+DOT_ALGEBRAS = [rationals(), quaternions(), extended_quaternions(), Algebra(1, 1), grassmann(3)]
+DOT_IDS = ["Q", "H", "EH", "Cl11", "G3"]
+
+
+def _dot_sample(rng, alg):
+    """Zero, single-term or multi-term, with denominators up to 7."""
+    shape = rng.random()
+    if shape < 0.15:
+        return alg.zero()
+    if shape < 0.45:
+        keys = _basis_keys(alg)
+        return Element(alg, {rng.choice(keys): Fraction(rng.randint(-9, 9) or 1,
+                                                        rng.randint(1, 7))})
+    return _random_element(rng, alg, density=0.7, den=7)
+
+
+def _reference_dot(xs, ys):
+    """sum x*y over zip(xs, ys) as a dict of Fractions, term by term."""
+    out = {}
+    for x, y in zip(xs, ys):
+        for key, c in _reference_product(x, y).items():
+            out[key] = out.get(key, Fraction(0)) + c
+    return {k: v for k, v in out.items() if v}
+
+
+def _series_sample(rng, sring):
+    length = rng.randint(0, sring.order + 2)  # the constructor truncates at K
+    return NilpotentPoly(sring, [_dot_sample(rng, sring.base) for _ in range(length)])
+
+
+class TestSumOfProducts:
+    @pytest.mark.parametrize("alg", DOT_ALGEBRAS, ids=DOT_IDS)
+    def test_dot_equals_fold(self, alg):
+        rng = random.Random(9100 + alg.n * 10 + alg.num_odd)
+        for _ in range(60):
+            size = rng.randint(1, 6)
+            xs = [_dot_sample(rng, alg) for _ in range(size)]
+            ys = [_dot_sample(rng, alg) for _ in range(size)]
+            dot = xs[0]._dot(xs, ys)
+            fold = functools.reduce(operator.add, (x * y for x, y in zip(xs, ys)))
+            assert dot._num == fold._num and dot._den == fold._den
+            assert dict(dot.terms) == _reference_dot(xs, ys)
+            _assert_canonical(dot)
+
+    @pytest.mark.parametrize("alg", DOT_ALGEBRAS, ids=DOT_IDS)
+    def test_one_pair_is_the_product(self, alg):
+        rng = random.Random(9200 + alg.n * 10 + alg.num_odd)
+        for _ in range(40):
+            x, y = _dot_sample(rng, alg), _dot_sample(rng, alg)
+            assert x._dot([x], [y]) == x * y
+            assert dict((x * y).terms) == _reference_product(x, y)
+            _assert_canonical(x * y)
+
+    def test_cancellation_and_zero_sums(self, H, units):
+        i, j, k = units
+        half = H.scalar(Fraction(1, 2))
+        dot = i._dot([i, j, half], [j, i, H.scalar(Fraction(2, 3))])
+        assert dot == H.scalar(Fraction(1, 3)) and dot._den == 3
+        zero = i._dot([i * Fraction(1, 3), j], [j * 3, i])  # k - k
+        assert zero.is_zero and zero._den == 1 and zero._num == {}
+        assert H.zero()._dot([H.zero()], [i]) == H.zero()
+
+    def test_zip_truncation(self):
+        rng = random.Random(9300)
+        for alg in DOT_ALGEBRAS:
+            xs = [_dot_sample(rng, alg) for _ in range(5)]
+            ys = [_dot_sample(rng, alg) for _ in range(3)]
+            assert xs[0]._dot(xs, ys) == xs[0]._dot(xs[:3], ys)
+            assert ys[0]._dot(ys, xs) == ys[0]._dot(ys, xs[:3])
+            assert rm._dot(xs, ys) == xs[0]._dot(xs[:3], ys)
+
+    def test_empty_dot_is_none(self, H):
+        assert rm._dot([], []) is None
+        assert rm._dot([H.one()], []) is None
+
+    def test_algebra_mismatch(self, H, Q):
+        with pytest.raises(ValueError):
+            H.one()._dot([H.one(), H.one()], [H.one(), Q.one()])
+        with pytest.raises(ValueError):
+            H.one()._dot([Q.one()], [H.one()])
+
+    @pytest.mark.parametrize("alg", [quaternions(), extended_quaternions(), grassmann(3)],
+                             ids=["H", "EH", "G3"])
+    @pytest.mark.parametrize("order", [1, 3, 5])
+    def test_series_product_is_truncated_convolution(self, alg, order):
+        sring = SeriesRing(alg, order)
+        rng = random.Random(9400 + order * 10 + alg.num_odd)
+        for _ in range(25):
+            x, y = _series_sample(rng, sring), _series_sample(rng, sring)
+            coeffs = [alg.zero()] * order
+            for a, ca in enumerate(x.coeffs):
+                for b, cb in enumerate(y.coeffs):
+                    if a + b < order:
+                        coeffs[a + b] = coeffs[a + b] + ca * cb
+            assert x * y == NilpotentPoly(sring, coeffs)
+            assert x._dot([x], [y]) == x * y
+
+    @pytest.mark.parametrize("alg", [quaternions(), extended_quaternions()], ids=["H", "EH"])
+    def test_series_dot_equals_fold(self, alg):
+        sring = SeriesRing(alg, 4)
+        rng = random.Random(9500 + alg.num_odd)
+        for _ in range(25):
+            size = rng.randint(1, 4)
+            xs = [_series_sample(rng, sring) for _ in range(size + 1)]
+            ys = [_series_sample(rng, sring) for _ in range(size)]
+            fold = functools.reduce(operator.add, (x * y for x, y in zip(xs, ys)))
+            dot = xs[0]._dot(xs, ys)
+            assert dot == fold
+            assert all(c._num for c in dot.coeffs[-1:])  # trailing zeros trimmed
+            assert rm._dot(xs, ys) == fold
+
+    def test_series_dot_coerces_scalars(self, H, units):
+        i, j, _ = units
+        sring = SeriesRing(H, 3)
+        z = sring.zeta()
+        assert z._dot([z, z], [i, 2]) == z * i + z * 2
+        assert sring.zero()._dot([sring.zero()], [z]) == sring.zero()
