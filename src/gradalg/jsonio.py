@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from math import gcd
 
 from .errors import HomogeneityError, SchemaError
 from .grading import GroupElement
 from .matrices import GradedMatrix, RankVector, check_homogeneous
-from .scalars import Algebra, Element, _normalized
+from .scalars import Algebra, Element, _common_denominator, _normalized
 
 
 def _json_int(value, field):
@@ -90,12 +89,8 @@ def terms_from_json(obj, alg: Algebra) -> Element:
         if d < 0:
             num, d = -num, -d
         if d != den:
-            grow = d // gcd(den, d)
-            if grow != 1:
-                for k in nums:
-                    nums[k] *= grow
-                den *= grow
-            num *= den // d
+            den, scale = _common_denominator(nums, den, d)
+            num *= scale
         key = mask | (odd << alg.n)
         nums[key] = nums.get(key, 0) + num
     return _normalized(alg, nums, den)

@@ -534,17 +534,10 @@ def _sum_of_products(alg: Algebra, pairs) -> Element:
         d = x._den * y._den
         scale = 1
         if d != den:
-            if not out:
-                den = d
+            if out:
+                den, scale = _common_denominator(out, den, d)
             else:
-                # lcm(den, d) = den * grow = d * scale
-                g = gcd(den, d)
-                scale = den // g
-                grow = d // g
-                if grow != 1:
-                    for k in out:
-                        out[k] *= grow
-                    den *= grow
+                den = d
         right = right.items()
         for i, a in left.items():
             if scale != 1:
@@ -559,6 +552,17 @@ def _sum_of_products(alg: Algebra, pairs) -> Element:
                     k = -k - 1
                     out[k] = out.get(k, 0) - a * b
     return _normalized(alg, out, den)
+
+
+def _common_denominator(num: dict, den: int, d: int):
+    """Rescale the numerators ``num`` over ``den`` in place to lcm(den, d);
+    return that lcm and the factor taking a numerator over d to it."""
+    grow = d // gcd(den, d)
+    if grow != 1:
+        for k in num:
+            num[k] *= grow
+        den *= grow
+    return den, den // d
 
 
 def _monomial(alg: Algebra, index: int, coeff) -> Element:
