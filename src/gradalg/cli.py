@@ -266,7 +266,10 @@ def cmd_check(args):
     return EXIT_OK if all_pass else EXIT_PROPERTY
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; ``main`` looks each subcommand's
+    handler up by name at call time, so the cached parser binds none."""
     parser = argparse.ArgumentParser(
         prog="gradalg",
         description="Exact graded linear algebra over Clifford algebras.")
@@ -274,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gtr", help="graded trace of a matrix")
     p.add_argument("--input", required=True)
-    p.set_defaults(func=cmd_gtr)
 
     p = sub.add_parser("gdet", help="graded determinant")
     p.add_argument("--input", required=True)
@@ -282,41 +284,34 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--strict", action="store_true", default=True)
     mode.add_argument("--lax", action="store_true")
-    p.set_defaults(func=cmd_gdet)
 
     p = sub.add_parser("gdet-coeffs", help="permutation coefficient table")
     p.add_argument("--pattern", required=True)
     p.add_argument("--normalized", action="store_true",
                    help="divide out the row-ordered monomial products")
-    p.set_defaults(func=cmd_gdet_coeffs)
 
     p = sub.add_parser("gber", help="graded Berezinian")
     p.add_argument("--input", required=True)
-    p.set_defaults(func=cmd_gber)
 
     p = sub.add_parser("ddet", help="squared Dieudonne determinant")
     p.add_argument("--input", required=True)
-    p.set_defaults(func=cmd_ddet)
 
     p = sub.add_parser("liouville", help="check gber(exp(zX)) = exp(gtr(zX))")
     p.add_argument("--input", required=True)
     p.add_argument("--order", type=int, default=6)
-    p.set_defaults(func=cmd_liouville)
 
     p = sub.add_parser("check", help="seeded property sweep")
     p.add_argument("--property", choices=PROPERTIES, required=True)
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ranks", default="1,1,1,1")
-    p.set_defaults(func=cmd_check)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        code = globals()["cmd_" + args.command.replace("-", "_")](args)
         # flush here, so a reader that went away is met inside this handler
         sys.stdout.flush()
         return code

@@ -5,9 +5,12 @@ Grids are lists of row lists whose entries support +, -, *, ``is_zero``,
 (``scalars.RingElement``).  Every dot product of ``mat_mul`` and of
 Berkowitz's powers and moments is one ``_dot`` call on the row's first
 entry, so the scalar ring accumulates the whole sum exactly and normalizes
-once.  One exact elimination routine serves every block operation in the
-package: pivots are searched downward for an invertible entry, mirroring the
-formal regime in which all needed inverses are assumed to exist.
+once.  Exact elimination has two entry points that share one pivot search,
+the first entry at or below the diagonal that is nonzero and whose
+``inverse()`` succeeds, mirroring the formal regime in which all needed
+inverses are assumed to exist: ``mat_inverse`` serves every block operation
+in the package, and ``is_nonsingular`` answers whether it would succeed by
+forward elimination alone.
 """
 
 from __future__ import annotations
@@ -82,6 +85,20 @@ def submatrix(grid, del_rows, del_cols):
             for r, row in enumerate(grid) if r not in del_rows]
 
 
+def _pivot(a, col):
+    """(row, inverse) of the first entry a[r][col], r >= col, that is nonzero
+    and invertible; NotInvertibleError when the column offers none."""
+    for r in range(col, len(a)):
+        x = a[r][col]
+        if x.is_zero:
+            continue
+        try:
+            return r, x.inverse()
+        except NotInvertibleError:
+            continue
+    raise NotInvertibleError(f"no invertible pivot in column {col}")
+
+
 def mat_inverse(grid, ring):
     """Exact inverse by row elimination with invertible-pivot search.
 
@@ -94,20 +111,7 @@ def mat_inverse(grid, ring):
     a = copy_grid(grid)
     inv = identity(ring, n)
     for col in range(n):
-        piv_row = None
-        piv_inv = None
-        for r in range(col, n):
-            x = a[r][col]
-            if x.is_zero:
-                continue
-            try:
-                piv_inv = x.inverse()
-            except NotInvertibleError:
-                continue
-            piv_row = r
-            break
-        if piv_row is None:
-            raise NotInvertibleError(f"no invertible pivot in column {col}")
+        piv_row, piv_inv = _pivot(a, col)
         if piv_row != col:
             a[col], a[piv_row] = a[piv_row], a[col]
             inv[col], inv[piv_row] = inv[piv_row], inv[col]
@@ -122,6 +126,36 @@ def mat_inverse(grid, ring):
             a[r] = [x - f * y for x, y in zip(a[r], a[col])]
             inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
     return inv
+
+
+def is_nonsingular(grid) -> bool:
+    """True exactly when ``mat_inverse(grid, ring)`` returns.
+
+    Forward elimination only: no identity is carried and no pivot row is
+    scaled, and each step updates the rows below the pivot right of its
+    column with f = a[r][col] * piv_inv.  By associativity f * a[col][c] is
+    the a[r][col] * (piv_inv * a[col][c]) of Gauss-Jordan, so every column
+    meets the same candidates and picks the same pivot.
+    """
+    n = len(grid)
+    if any(len(row) != n for row in grid):
+        raise ValueError("matrix must be square")
+    a = copy_grid(grid)
+    for col in range(n):
+        try:
+            piv_row, piv_inv = _pivot(a, col)
+        except NotInvertibleError:
+            return False
+        a[col], a[piv_row] = a[piv_row], a[col]
+        pivot = a[col]
+        for r in range(col + 1, n):
+            row = a[r]
+            if row[col].is_zero:
+                continue
+            f = row[col] * piv_inv
+            a[r] = row[:col + 1] + [x - f * y for x, y in
+                                    zip(row[col + 1:], pivot[col + 1:])]
+    return True
 
 
 def commutative_det(grid, ring):

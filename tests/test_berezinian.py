@@ -100,6 +100,35 @@ class TestInvertibility:
             assert rm.grids_equal(rm.mat_mul(inv, X.grid()), rm.identity(EH, n))
         assert 0 < refused < 24
 
+    def test_invert0_refuses_exactly_the_non_invertible(self, EH):
+        # plain random_matrix draws, so singular matrices occur unfiltered
+        import random
+        rng = random.Random(4402)
+        refused = 0
+        for _ in range(200):
+            X = random_matrix(rng, EH, RK_EXT)
+            if is_invertible0(X):
+                invert0(X)
+                continue
+            refused += 1
+            with pytest.raises(NotInvertibleError):
+                invert0(X)
+        assert 0 < refused < 200
+
+    def test_invertible_draws_are_pinned(self, H, EH):
+        # SHA-256 of the draws as computed by the Gauss-Jordan test, so the
+        # rejection sampler accepts the same matrices after the same draws
+        import hashlib
+        import random
+        from gradalg.jsonio import canonical_json, matrix_to_json
+        cases = [(H, rank_even((2, 2, 2, 2))), (H, rank_even((7, 1, 0, 0))),
+                 (EH, RK_EXT)]
+        rng = random.Random(1313)
+        draws = [matrix_to_json(random_invertible(rng, alg, rk))
+                 for alg, rk in cases for _ in range(8)]
+        assert hashlib.sha256(canonical_json(draws).encode()).hexdigest() == (
+            "bc2400d1efdadf3f4200e37b049456ae406b7a94bc5f21294efa59292812b249")
+
     def test_inverse_is_two_sided(self, EH, rng):
         for _ in range(5):
             X = random_invertible(rng, EH, RK_EXT)

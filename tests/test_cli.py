@@ -146,6 +146,39 @@ class TestSubcommands:
         out = json.loads(capsys.readouterr().out)
         assert out["gtr"]["terms"] == [{"den": 1, "mask": 0, "num": 4}]
 
+    def test_one_process_matches_fresh_processes(self, identity_file, tmp_path, capsys):
+        # main builds its parser once per process; each later subcommand, with
+        # its own options and defaults, must parse as in a fresh interpreter
+        bad = tmp_path / "bad.json"
+        bad.write_text("{}")
+        runs = [["gdet", "--input", identity_file, "--route", "ldu", "--lax"],
+                ["check", "--property", "udl", "--trials", "2", "--seed", "5"],
+                ["gdet", "--input", identity_file],
+                ["gtr", "--input", str(bad)],
+                ["gtr", "--input", identity_file]]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), "..", "src"),
+             os.environ.get("PYTHONPATH", "")]))
+        for argv in runs:
+            code = main(argv)
+            here = capsys.readouterr()
+            fresh = subprocess.run([sys.executable, "-m", "gradalg", *argv],
+                                   capture_output=True, text=True, env=env, timeout=120)
+            assert (code, here.out, here.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+    def test_handler_is_looked_up_per_call(self, identity_file, capsys, monkeypatch):
+        # a wrapper installed after the parser was built, such as a tracer's,
+        # still receives the call
+        from gradalg import cli as climod
+        assert main(["gtr", "--input", identity_file]) == 0
+        seen = []
+        original = climod.cmd_gtr
+        monkeypatch.setattr(climod, "cmd_gtr",
+                            lambda args: seen.append(args.command) or original(args))
+        assert main(["gtr", "--input", identity_file]) == 0
+        assert seen == ["gtr"]
+        assert json.loads(capsys.readouterr().out.splitlines()[-1])["gtr"]["terms"]
+
     def test_gdet_routes_agree(self, identity_file, capsys):
         main(["gdet", "--input", identity_file, "--route", "udl"])
         udl = json.loads(capsys.readouterr().out)

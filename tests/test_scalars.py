@@ -601,3 +601,74 @@ class TestSumOfProducts:
         z = sring.zeta()
         assert z._dot([z, z], [i, 2]) == z * i + z * 2
         assert sring.zero()._dot([sring.zero()], [z]) == sring.zero()
+
+
+def _inverts(grid, ring):
+    try:
+        rm.mat_inverse(grid, ring)
+    except NotInvertibleError:
+        return False
+    return True
+
+
+class TestNonsingular:
+    """ringmat.is_nonsingular holds exactly when mat_inverse returns."""
+
+    def _agrees(self, grid, ring, expected):
+        assert _inverts(grid, ring) is expected
+        assert rm.is_nonsingular(grid) is expected
+
+    def test_empty_and_one_by_one(self, Q, EH):
+        self._agrees([], Q, True)
+        self._agrees([[Q.scalar(Fraction(-2, 3))]], Q, True)
+        self._agrees([[Q.zero()]], Q, False)
+        self._agrees([[EH.odd_generator(1) * EH.odd_generator(2)]], EH, False)
+
+    def test_pivot_needs_a_row_swap(self, Q):
+        one, zero = Q.one(), Q.zero()
+        self._agrees([[zero, one], [one, one]], Q, True)
+        self._agrees([[zero, one, Q.scalar(2)], [zero, Q.scalar(3), one], [one, zero, zero]],
+                     Q, True)
+        self._agrees([[zero, one, zero], [one, zero, zero], [one, zero, zero]], Q, False)
+
+    def test_nilpotent_candidate_before_a_unit(self, EH):
+        # theta1 theta2 is the first nonzero entry of column 0 but has no inverse
+        one, zero = EH.one(), EH.zero()
+        t12 = EH.odd_generator(1) * EH.odd_generator(2)
+        self._agrees([[t12, one], [one, zero]], EH, True)
+        self._agrees([[t12, one], [zero, t12]], EH, False)
+
+    def test_zero_divisor_candidate_before_a_unit(self):
+        # (1 + e1)(1 - e1) = 0 in Cl(1,1); after the swap 1 - (1 + e1) = -e1
+        alg = Algebra(1, 1)
+        one, e1 = alg.one(), alg.generator(1)
+        self._agrees([[one + e1, one], [one, one]], alg, True)
+        self._agrees([[one + e1, one - e1], [one - e1, one + e1]], alg, False)
+
+    def test_duplicate_rows_and_zero_column(self, H, units):
+        i, j, k = units
+        row = [i, j + 2, k]
+        self._agrees([row, [H.one(), H.zero(), i], row[:]], H, False)
+        self._agrees([[H.zero(), i], [H.zero(), j]], H, False)
+
+    def test_series_entries(self, H, units):
+        sring = SeriesRing(H, 3)
+        z, one, i = sring.zeta(), sring.one(), sring.lift(units[0])
+        self._agrees([[z, one], [one, z]], sring, True)
+        self._agrees([[z * i, one + z], [one, z]], sring, True)
+        self._agrees([[one, z], [one, z]], sring, False)
+        self._agrees([[z, z * z], [z * i, one]], sring, False)
+
+    @pytest.mark.parametrize("alg", DOT_ALGEBRAS, ids=DOT_IDS)
+    def test_random_grids(self, alg):
+        rng = random.Random(9600 + alg.n * 10 + alg.num_odd)
+        outcomes = set()
+        for _ in range(150):
+            n = rng.randint(1, 4)
+            grid = [[_dot_sample(rng, alg) for _ in range(n)] for _ in range(n)]
+            if rng.random() < 0.3:
+                grid[rng.randrange(n)] = grid[rng.randrange(n)][:]
+            expected = _inverts(grid, alg)
+            assert rm.is_nonsingular(grid) is expected
+            outcomes.add(expected)
+        assert outcomes == {True, False}
