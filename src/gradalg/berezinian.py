@@ -1,6 +1,6 @@
 """The graded Berezinian of invertible degree-0 matrices, the invertibility
-test through the odd ideal, and the Liouville identity over a nilpotent
-extension."""
+test on residues mod the nilpotent ideal, and the Liouville identity over a
+nilpotent extension."""
 
 from __future__ import annotations
 
@@ -26,25 +26,40 @@ def is_invertible0(X: GradedMatrix) -> bool:
     """True iff both parity-diagonal blocks are invertible modulo the odd
     ideal, which characterizes invertibility of a degree-0 matrix.
 
-    Each stripped corner goes through ``ringmat.is_nonsingular``, forward
-    elimination with the pivot search of ``mat_inverse``, so the answer is
-    whether that inverse would exist without computing it.
+    Each corner is reduced entrywise to its residue (``RingElement.residue``:
+    zeta -> 0 on a series, then mod the odd ideal), and the residue grid goes
+    through ``ringmat.is_nonsingular``, forward elimination with the pivot
+    search of ``mat_inverse``.  The answer is that of the same elimination on
+    the corner itself, so it is whether ``invert0`` would succeed:
+
+    - the residue map is a ring homomorphism, as a composite of two quotient
+      maps, so it commutes with every row update;
+    - an entry is invertible exactly when its residue is (``Element.inverse``
+      and ``NilpotentPoly.inverse`` refuse exactly when the stripped constant
+      term is zero or not invertible), so an entry whose residue is zero is
+      never a pivot on either side;
+    - a row update whose multiplier has a zero residue leaves the reduced row
+      unchanged, which is the reduced side skipping that row.
+
+    So, column by column, the reduced grid stays the residue of the full
+    one, and both meet the same candidates and pick the same pivots.  Over
+    A[zeta] no series inverse or series product is formed.
     """
     _require_degree0(X)
     r = redivide_2x2(X, "parity")
-    # the stripped matrix is block diagonal; eliminating on the full grid
+    # the reduced matrix is block diagonal; eliminating on the full grid
     # would carry the zero off-diagonal blocks through every row operation
-    return all(rm.is_nonsingular([[v.strip_odd() for v in row] for row in corner.entries])
+    return all(rm.is_nonsingular([[v.residue() for v in row] for row in corner.entries])
                for corner in (r.x11, r.x22))
 
 
 def invert0(X: GradedMatrix) -> GradedMatrix:
     """Inverse of an invertible degree-0 matrix through the elimination kernel.
 
-    Reduction mod the odd ideal is a ring homomorphism and an entry is
-    invertible exactly when its reduction is, so elimination picks the same
-    pivots on X as on its reduction and succeeds exactly when is_invertible0
-    holds; the nilpotent lift happens inside each pivot's inverse().
+    The residue map is a ring homomorphism and an entry is invertible exactly
+    when its residue is, so elimination picks the same pivots on X as on its
+    residue and succeeds exactly when is_invertible0 holds; the nilpotent lift
+    happens inside each pivot's inverse().
     """
     _require_degree0(X)
     return matrix_inverse(X)

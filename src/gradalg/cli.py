@@ -109,6 +109,8 @@ def cmd_ddet(args):
 
 
 def cmd_liouville(args):
+    if args.order < 1:
+        raise SchemaError(f"--order must be at least 1, got {args.order}")
     X = _load_matrix(args.input)
     lhs, rhs = liouville_check(X, order=args.order)
     passed = lhs == rhs

@@ -230,11 +230,15 @@ def _table_of(alg: Algebra) -> _Table:
 class RingElement:
     """Ring code shared by Element and series.NilpotentPoly; each subclass
     supplies ``_coerce``, ``+``, unary ``-``, ``*``, ``is_zero``, ``degree``,
-    ``inverse``, ``_one`` and ``_dot``.
+    ``inverse``, ``_one``, ``_dot`` and ``residue``.
 
     ``x._dot(xs, ys)`` is sum x*y over ``zip(xs, ys)`` for entries of x's
     ring, equal to the left fold of the products; ``ringmat`` takes every dot
     product through it.
+
+    ``x.residue()`` is the image of x modulo the nilpotent ideal (the odd
+    symbols, and zeta on a series), a plain Clifford ``Element``.  The map is
+    a ring homomorphism, and x is invertible exactly when its residue is.
     """
 
     __slots__ = ()
@@ -447,6 +451,9 @@ class Element(RingElement):
             return self
         return _normalized(self.algebra, {i: v for i, v in self._num.items() if i < size},
                            self._den)
+
+    # an Element has no zeta, so its residue is its reduction mod the odd ideal
+    residue = strip_odd
 
     # -- inversion ----------------------------------------------------------
 

@@ -171,8 +171,9 @@ class NilpotentPoly(RingElement):
         return [(deg, NilpotentPoly(self.ring, coeffs))
                 for deg, coeffs in sorted(buckets.items(), key=lambda kv: kv[0].mask)]
 
-    def strip_odd(self) -> "NilpotentPoly":
-        return NilpotentPoly(self.ring, (c.strip_odd() for c in self.coeffs))
+    def residue(self) -> Element:
+        """Image under zeta -> 0 followed by reduction mod the odd ideal."""
+        return self.constant_term().strip_odd()
 
     def inverse(self) -> "NilpotentPoly":
         """(c0 + N)^{-1} = sum_k (-c0^{-1} N)^k c0^{-1}; needs c0 invertible."""

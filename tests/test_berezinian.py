@@ -6,11 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from gradalg import (GradedMatrix, GroupElement, NotInvertibleError, RankVector,
-                     RegularityError, SeriesRing, gber, gdet0, gtr,
-                     identity_matrix, invert0, is_invertible0, liouville_check,
-                     mat_add, mat_mul, matrix_exp_zeta,
-                     odd_sandwich_check, series_matrix)
+from gradalg import (GradedMatrix, GroupElement, NilpotentPoly,
+                     NotInvertibleError, RankVector, RegularityError, SeriesRing,
+                     gber, gdet0, gtr, identity_matrix, invert0, is_invertible0,
+                     liouville_check, mat_add, mat_mul, matrix_exp_zeta,
+                     odd_sandwich_check, redivide_2x2, series_matrix)
 from gradalg import ringmat as rm
 from gradalg.randgen import random_invertible, random_matrix
 
@@ -142,6 +142,119 @@ class TestInvertibility:
         from gradalg import check_homogeneous
         X = random_invertible(rng, EH, RK_EXT)
         assert check_homogeneous(invert0(X))
+
+
+def series_corner_answer(X):
+    """is_invertible0 by elimination over the series entries themselves, each
+    coefficient reduced mod the odd ideal: the test before the residue map."""
+    def strip(v):
+        if isinstance(v, NilpotentPoly):
+            return NilpotentPoly(v.ring, (c.strip_odd() for c in v.coeffs))
+        return v.strip_odd()
+    r = redivide_2x2(X, "parity")
+    return all(rm.is_nonsingular([[strip(v) for v in row] for row in corner.entries])
+               for corner in (r.x11, r.x22))
+
+
+def series_grid_matrix(sring, rk, grid):
+    """Degree-0 matrix over sring from a grid of coefficient tuples."""
+    return GradedMatrix(sring, rk, rk, GroupElement.zero(rk.m),
+                        [[NilpotentPoly(sring, coeffs) for coeffs in row] for row in grid])
+
+
+class TestResidueInvertibility:
+    """is_invertible0 eliminates over the residues of the entries, with zeta
+    and the odd symbols sent to 0; the answer must be the one elimination
+    over the series entries gives."""
+
+    def check(self, X, want):
+        assert series_corner_answer(X) is want
+        assert is_invertible0(X) is want
+
+    def test_zeta_multiples_before_a_unit(self, H, units):
+        # column 0 offers zeta, then zeta i, then the unit i: the first two
+        # are nonzero series with zero residue and must be passed over
+        i, _, _ = units
+        ring = SeriesRing(H, 4)
+        rk = rank_even((1, 2, 0, 0))
+        z, one = H.zero(), H.one()
+        grid = [[(z, one), (i,), ()],
+                [(z, i), (one,), (one,)],
+                [(i,), (), (one,)]]
+        self.check(series_grid_matrix(ring, rk, grid), True)
+        # rows 0 and 1 now agree mod zeta up to the left factor i
+        grid[1] = [(z, i), (one,), (z, one)]
+        grid[2] = [(i,), (z, one), (-one,)]
+        self.check(series_grid_matrix(ring, rk, grid), False)
+
+    def test_odd_nilpotent_tail_over_extended_h(self, EH):
+        # constant terms i t1 t2 (residue 0, yet nonzero) and 1 + 2 i t1 t2
+        # (residue 1), with zeta terms of the same degrees
+        from gradalg import check_homogeneous, quaternion_units
+        i, _, _ = quaternion_units(EH)
+        t12 = EH.odd_generator(1) * EH.odd_generator(2)
+        ring = SeriesRing(EH, 3)
+        rk = RankVector(3, (0, 0, 0, 0, 1, 1, 0, 0))
+        grid = [[(i * t12, EH.one()), (i * 2,)],
+                [(i * 3 + t12, t12), (EH.one() + i * t12 * 2, EH.one(), i * t12)]]
+        X = series_grid_matrix(ring, rk, grid)
+        assert check_homogeneous(X)
+        self.check(X, True)
+        grid[1][0] = (t12, i)
+        self.check(series_grid_matrix(ring, rk, grid), False)
+
+    def test_repeated_row_is_singular(self, H):
+        ring = SeriesRing(H, 3)
+        one = H.one()
+        grid = [[(one,), (H.zero(), one)], [(one,), (H.zero(), one)]]
+        self.check(series_grid_matrix(ring, rank_even((2, 0, 0, 0)), grid), False)
+
+    def test_zeta_alone(self, H):
+        ring = SeriesRing(H, 2)
+        self.check(series_grid_matrix(ring, rank_even((1, 0, 0, 0)),
+                                      [[(H.zero(), H.one())]]), False)
+
+    # zero_rate: share of constant terms zeroed; random extended-H matrices
+    # with odd blocks are mostly singular already
+    @pytest.mark.parametrize("alg_name, ranks, zero_rate", [
+        ("H", (1, 1, 2, 1, 0, 0, 0, 0), 0.4),
+        ("EH", (1, 1, 1, 1, 1, 1, 0, 0), 0.0),
+        ("Cl11", (1, 1, 1, 0, 0, 0, 0, 0), 0.2)])
+    def test_sweep_matches_series_elimination(self, alg_name, ranks, zero_rate, H, EH):
+        import random
+        from gradalg import Algebra
+        alg = {"H": H, "EH": EH, "Cl11": Algebra(1, 1)}[alg_name]
+        rk = RankVector(3, ranks)
+        rng = random.Random(1415)
+        seen = {True: 0, False: 0}
+        for order in range(1, 7):
+            ring = SeriesRing(alg, order)
+            X = random_matrix(rng, alg, rk, bound=3)
+            self.check(matrix_exp_zeta(X, ring), True)
+            # a lift is invertible exactly when its zeta^0 part is
+            self.check(series_matrix(X, ring), is_invertible0(X))
+            self.check(series_matrix(X, ring, 1), False)
+            for _ in range(8):
+                # entries with a zero residue but a nonzero zeta part come
+                # from zeroed constant terms and from pure odd ones
+                coeffs = [random_matrix(rng, alg, rk, bound=3).entries
+                          for _ in range(order)]
+                grid = [[tuple(alg.zero() if k == 0 and rng.random() < zero_rate else c[r][col]
+                               for k, c in enumerate(coeffs))
+                         for col in range(rk.total)] for r in range(rk.total)]
+                X = series_grid_matrix(ring, rk, grid)
+                want = series_corner_answer(X)
+                assert is_invertible0(X) is want
+                seen[want] += 1
+        assert min(seen.values()) >= 4
+
+    def test_no_series_inverse_is_formed(self, H, rng, monkeypatch):
+        def refuse(self):
+            raise AssertionError("series inverse formed")
+        X = random_matrix(rng, H, rank_even((1, 1, 2, 1)), bound=6)
+        E = matrix_exp_zeta(X, SeriesRing(H, 6))
+        monkeypatch.setattr(NilpotentPoly, "inverse", refuse)
+        assert is_invertible0(E)
 
 
 class TestGberAxioms:
@@ -332,9 +445,27 @@ class TestLiouville:
             assert lhs == rhs
 
     def test_extension_with_odd_blocks(self, EH, rng):
-        X = random_matrix(rng, EH, RK_EXT, bound=3)
-        lhs, rhs = liouville_check(X, 4)
-        assert lhs == rhs
+        for k in range(12):
+            X = random_matrix(rng, EH, RK_EXT, bound=3)
+            lhs, rhs = liouville_check(X, 1 + k % 6)
+            assert lhs == rhs
+
+    def test_values_are_pinned(self, H, EH):
+        # SHA-256 of both sides as computed when is_invertible0 eliminated
+        # over the series entries, at the benchmark's shape (H (1,1,2,1),
+        # order 6) and over extended H with odd blocks at order 4
+        import hashlib
+        import random
+        from gradalg.jsonio import canonical_json, terms_to_json
+        rng = random.Random(1414)
+        sides = []
+        for alg, rk, order in [(H, rank_even((1, 1, 2, 1)), 6), (EH, RK_EXT, 4)]:
+            for _ in range(24):
+                X = random_matrix(rng, alg, rk, bound=6)
+                sides.append([[terms_to_json(c) for c in side.coeffs]
+                              for side in liouville_check(X, order)])
+        assert hashlib.sha256(canonical_json(sides).encode()).hexdigest() == (
+            "5b23c38a2562fa984871f494e82de569d3f9c46cbf367d94c98125b721ce3fde")
 
     def test_exp_matches_scalar_series(self, H, units, rng):
         i, _, _ = units

@@ -319,6 +319,16 @@ class TestSubcommands:
         assert out["result"] == "PASS"
         assert out["lhs"] == out["rhs"]
 
+    @pytest.mark.parametrize("order", ["0", "-2"])
+    def test_liouville_order_below_one_is_schema_error(self, order, identity_file,
+                                                       capsys):
+        # rejected before the input is read, so /dev/null fails the same way
+        for path in (identity_file, os.devnull):
+            assert main(["liouville", "--input", path, "--order", order]) == 2
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err == f"schema error: --order must be at least 1, got {order}\n"
+
 
 class TestCheckCommand:
     @pytest.mark.parametrize("prop", ["multiplicativity", "heredity",
