@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from math import gcd
 
 from .errors import HomogeneityError, SchemaError
 from .grading import GroupElement
@@ -59,11 +60,17 @@ def algebra_from_json(obj) -> Algebra:
 
 
 def terms_to_json(e: Element):
+    # the order and the reduced fractions of sorted(e.terms.items()), read
+    # straight off the numerators over the shared denominator
+    n = e.algebra.n
+    low = (1 << n) - 1
+    num, den = e._num, e._den
     out = []
-    for (cl, odd), c in sorted(e.terms.items()):
-        term = {"mask": cl, "num": c.numerator, "den": c.denominator}
-        if odd:
-            term["theta"] = odd
+    for i in sorted(num, key=lambda i: (i & low, i >> n)):
+        g = gcd(num[i], den)
+        term = {"mask": i & low, "num": num[i] // g, "den": den // g}
+        if i >> n:
+            term["theta"] = i >> n
         out.append(term)
     return out
 

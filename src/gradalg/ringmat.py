@@ -10,7 +10,10 @@ the first entry at or below the diagonal that is nonzero and whose
 ``inverse()`` succeeds, mirroring the formal regime in which all needed
 inverses are assumed to exist: ``mat_inverse`` serves every block operation
 in the package, and ``is_nonsingular`` answers whether it would succeed by
-forward elimination alone.
+forward elimination alone.  Both update a row by ``_axpy``, which forms each
+entry x - f*y as the two-pair dot 1*x + (-f)*y, so the scalar ring
+normalizes it once instead of after the product and again after the
+difference.
 """
 
 from __future__ import annotations
@@ -85,6 +88,13 @@ def submatrix(grid, del_rows, del_cols):
             for r, row in enumerate(grid) if r not in del_rows]
 
 
+def _axpy(row, nf, pivot):
+    """row + nf * pivot entrywise, each entry one ``_dot`` call; nf is the
+    negated multiplier, formed once per row."""
+    one, dot = nf._one(), nf._dot
+    return [dot((one, nf), (x, y)) for x, y in zip(row, pivot)]
+
+
 def _pivot(a, col):
     """(row, inverse) of the first entry a[r][col], r >= col, that is nonzero
     and invertible; NotInvertibleError when the column offers none."""
@@ -123,8 +133,9 @@ def mat_inverse(grid, ring):
             f = a[r][col]
             if f.is_zero:
                 continue
-            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-            inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
+            nf = -f
+            a[r] = _axpy(a[r], nf, a[col])
+            inv[r] = _axpy(inv[r], nf, inv[col])
     return inv
 
 
@@ -152,9 +163,8 @@ def is_nonsingular(grid) -> bool:
             row = a[r]
             if row[col].is_zero:
                 continue
-            f = row[col] * piv_inv
-            a[r] = row[:col + 1] + [x - f * y for x, y in
-                                    zip(row[col + 1:], pivot[col + 1:])]
+            nf = -(row[col] * piv_inv)
+            a[r] = row[:col + 1] + _axpy(row[col + 1:], nf, pivot[col + 1:])
     return True
 
 

@@ -121,17 +121,9 @@ class Algebra:
 
     @cached_property
     def _degrees(self):
-        """Degree of each basis index; equal degrees are one shared object."""
-        shared = {}
-        degrees = []
-        for i in range(1 << (self.n + self.num_odd)):
-            cl = i & ((1 << self.n) - 1)
-            mask = cl | ((cl.bit_count() & 1) << self.n)
-            for t, g in enumerate(self.odd_degrees):
-                if i >> (self.n + t) & 1:
-                    mask ^= g.mask
-            degrees.append(shared.setdefault(mask, GroupElement(self.arity, mask)))
-        return degrees
+        """Degree of each basis index, shared by equal algebras; equal degrees
+        are one shared object."""
+        return _degrees_of(self)
 
     @lru_cache(maxsize=None)
     def monomials_by_degree(self):
@@ -225,6 +217,22 @@ class _Table(dict):
 def _table_of(alg: Algebra) -> _Table:
     # one table per algebra value, so equal descriptors share filled entries
     return _Table(alg)
+
+
+@lru_cache(maxsize=None)
+def _degrees_of(alg: Algebra) -> tuple:
+    # one tuple per algebra value, so a freshly parsed descriptor reuses it
+    shared = {}
+    degrees = []
+    n = alg.n
+    for i in range(1 << (n + alg.num_odd)):
+        cl = i & ((1 << n) - 1)
+        mask = cl | ((cl.bit_count() & 1) << n)
+        for t, g in enumerate(alg.odd_degrees):
+            if i >> (n + t) & 1:
+                mask ^= g.mask
+        degrees.append(shared.setdefault(mask, GroupElement(alg.arity, mask)))
+    return tuple(degrees)
 
 
 class RingElement:

@@ -257,6 +257,42 @@ class TestResidueInvertibility:
         assert is_invertible0(E)
 
 
+def redivided_answer(X):
+    """is_invertible0 before its corners were sliced from the entries: the
+    residues of redivide_2x2's x11 and then x22."""
+    r = redivide_2x2(X, "parity")
+    return all(rm.is_nonsingular([[v.residue() for v in row] for row in corner.entries])
+               for corner in (r.x11, r.x22))
+
+
+class TestSlicedCorners:
+    """is_invertible0 cuts the corners at the parity split and tests the
+    smaller first; the answer must be the redivision's."""
+
+    @pytest.mark.parametrize("alg_name, ranks", [
+        ("H", (2, 1, 1, 0, 0, 0, 0, 0)),     # no odd corner
+        ("H", (0, 0, 0, 0, 1, 1, 1, 0)),     # no even corner
+        ("EH", (1, 1, 1, 1, 1, 1, 0, 0)),    # even corner larger
+        ("EH", (1, 0, 0, 0, 2, 1, 0, 0)),    # odd corner larger
+        ("EH", (1, 0, 0, 0, 1, 0, 0, 0))])   # a tie
+    def test_matches_redivision(self, alg_name, ranks, H, EH):
+        import random
+        alg = {"H": H, "EH": EH}[alg_name]
+        rk = RankVector(3, ranks)
+        rng = random.Random(1601)
+        seen = {True: 0, False: 0}
+        for k in range(60):
+            X = random_matrix(rng, alg, rk, bound=2)
+            want = redivided_answer(X)
+            assert is_invertible0(X) is want
+            seen[want] += 1
+            ring = SeriesRing(alg, 1 + k % 4)
+            for S in (series_matrix(X, ring), series_matrix(X, ring, 1),
+                      matrix_exp_zeta(X, ring)):
+                assert is_invertible0(S) is redivided_answer(S)
+        assert min(seen.values()) >= 5
+
+
 class TestGberAxioms:
     def test_identity_maps_to_one(self, EH):
         assert gber(identity_matrix(EH, RK_EXT)) == EH.one()

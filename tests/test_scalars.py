@@ -672,3 +672,69 @@ class TestNonsingular:
             assert rm.is_nonsingular(grid) is expected
             outcomes.add(expected)
         assert outcomes == {True, False}
+
+
+def _reference_inverse(grid, ring):
+    """mat_inverse with the row update x - f*y: a product, then a difference."""
+    n = len(grid)
+    a = rm.copy_grid(grid)
+    inv = rm.identity(ring, n)
+    for col in range(n):
+        piv_row, piv_inv = rm._pivot(a, col)
+        a[col], a[piv_row] = a[piv_row], a[col]
+        inv[col], inv[piv_row] = inv[piv_row], inv[col]
+        a[col] = [piv_inv * x for x in a[col]]
+        inv[col] = [piv_inv * x for x in inv[col]]
+        for r in range(n):
+            f = a[r][col]
+            if r == col or f.is_zero:
+                continue
+            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+            inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
+    return inv
+
+
+def _reference_nonsingular(grid):
+    """is_nonsingular with the row update x - f*y."""
+    n = len(grid)
+    a = rm.copy_grid(grid)
+    for col in range(n):
+        try:
+            piv_row, piv_inv = rm._pivot(a, col)
+        except NotInvertibleError:
+            return False
+        a[col], a[piv_row] = a[piv_row], a[col]
+        for r in range(col + 1, n):
+            if a[r][col].is_zero:
+                continue
+            f = a[r][col] * piv_inv
+            a[r] = a[r][:col + 1] + [x - f * y for x, y in zip(a[r][col + 1:], a[col][col + 1:])]
+    return True
+
+
+class TestFusedUpdate:
+    """Both elimination entry points form x - f*y as one two-pair dot; the
+    results must be those of the product-then-difference update."""
+
+    @pytest.mark.parametrize("ring", [quaternions(), extended_quaternions(),
+                                      SeriesRing(quaternions(), 3)], ids=["H", "EH", "H[z]"])
+    def test_matches_product_then_difference(self, ring):
+        rng = random.Random(1602)
+        series = isinstance(ring, SeriesRing)
+        outcomes = set()
+        for _ in range(80):
+            n = rng.randint(1, 4)
+            grid = [[ring.zero() if rng.random() < 0.3
+                     else _series_sample(rng, ring) if series else _dot_sample(rng, ring)
+                     for _ in range(n)] for _ in range(n)]
+            try:
+                want = _reference_inverse(grid, ring)
+            except NotInvertibleError:
+                want = None
+                with pytest.raises(NotInvertibleError):
+                    rm.mat_inverse(grid, ring)
+            else:
+                assert rm.grids_equal(rm.mat_inverse(grid, ring), want)
+            assert rm.is_nonsingular(grid) is _reference_nonsingular(grid) is (want is not None)
+            outcomes.add(want is not None)
+        assert outcomes == {True, False}
