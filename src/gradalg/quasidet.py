@@ -52,9 +52,15 @@ def block_quasidet(grid, sizes, k: int, u: int, ring):
             f"block submatrix X^{{{k},{u}}} is not invertible") from exc
     rest_cols = [c for c in range(len(grid)) if c not in cols_u]
     rest_rows = [r for r in range(len(grid)) if r not in rows_k]
-    R = [[grid[r][c] for c in rest_cols] for r in rows_k]
     C = [[grid[r][c] for c in cols_u] for r in rest_rows]
-    return rm.mat_sub(corner, rm.mat_mul(R, rm.mat_mul(inv, C)))
+    # each entry x - R_r (inv C)_c is one dot of (1, R_r) with (x, -(inv C)_c)
+    neg_cols = list(zip(*rm.mat_mul(rm.mat_neg(inv), C)))
+    one = ring.one()
+    out = []
+    for r, corner_row in zip(rows_k, corner):
+        lhs = [one] + [grid[r][c] for c in rest_cols]
+        out.append([one._dot(lhs, (x,) + col) for x, col in zip(corner_row, neg_cols)])
+    return out
 
 
 def invert_2x2_block(grid, sizes, ring):

@@ -5,18 +5,22 @@ Grids are lists of row lists whose entries support +, -, *, ``is_zero``,
 (``scalars.RingElement``).  Every dot product of ``mat_mul`` and of
 Berkowitz's powers and moments is one ``_dot`` call on the row's first
 entry, so the scalar ring accumulates the whole sum exactly and normalizes
-once.  Exact elimination has two entry points that share one pivot search,
-the first entry at or below the diagonal that is nonzero and whose
-``inverse()`` succeeds, mirroring the formal regime in which all needed
-inverses are assumed to exist: ``mat_inverse`` serves every block operation
-in the package, and ``is_nonsingular`` answers whether it would succeed by
-forward elimination alone.  Both update a row by ``_axpy``, which forms each
-entry x - f*y as the two-pair dot 1*x + (-f)*y, so the scalar ring
-normalizes it once instead of after the product and again after the
-difference.
+once.  Exact elimination shares one pivot search, the first entry at or
+below the diagonal that is nonzero and whose ``inverse()`` succeeds,
+mirroring the formal regime in which all needed inverses are assumed to
+exist.  ``mat_inverse`` runs Gauss-Jordan with it and serves every block
+operation in the package.  One forward-elimination loop serves the other
+two entry points: ``is_nonsingular`` answers whether ``mat_inverse`` would
+succeed, and ``commutative_det`` multiplies the pivots it finds and hands
+the block left at the first column without one to Berkowitz's algorithm.
+Every row update goes through ``_axpy``, which forms each entry x - f*y as
+the two-pair dot 1*x + (-f)*y, so the scalar ring normalizes it once
+instead of after the product and again after the difference.
 """
 
 from __future__ import annotations
+
+import math
 
 from .errors import NotInvertibleError
 
@@ -139,47 +143,86 @@ def mat_inverse(grid, ring):
     return inv
 
 
-def is_nonsingular(grid) -> bool:
-    """True exactly when ``mat_inverse(grid, ring)`` returns.
+def _forward_eliminate(grid):
+    """Forward elimination on the pivots of ``_pivot`` until a column offers
+    none: (pivots, swaps, rest) with the pivot entries in column order, the
+    number of row swaps, and the trailing block left at the first column
+    without a pivot, empty when every column has one.
 
-    Forward elimination only: no identity is carried and no pivot row is
-    scaled, and each step updates the rows below the pivot right of its
-    column with f = a[r][col] * piv_inv.  By associativity f * a[col][c] is
-    the a[r][col] * (piv_inv * a[col][c]) of Gauss-Jordan, so every column
-    meets the same candidates and picks the same pivot.
+    No identity is carried and no pivot row is scaled: each step updates the
+    rows below the pivot right of its column with f = a[r][col] * piv_inv,
+    and -piv_inv is formed once per column.  By associativity f * a[col][c]
+    is the a[r][col] * (piv_inv * a[col][c]) of Gauss-Jordan, so every column
+    meets the same candidates as in ``mat_inverse`` and picks the same pivot.
     """
     n = len(grid)
     if any(len(row) != n for row in grid):
         raise ValueError("matrix must be square")
     a = copy_grid(grid)
+    pivots, swaps = [], 0
     for col in range(n):
         try:
             piv_row, piv_inv = _pivot(a, col)
         except NotInvertibleError:
-            return False
-        a[col], a[piv_row] = a[piv_row], a[col]
+            break
+        if piv_row != col:
+            a[col], a[piv_row] = a[piv_row], a[col]
+            swaps += 1
         pivot = a[col]
-        for r in range(col + 1, n):
-            row = a[r]
-            if row[col].is_zero:
-                continue
-            nf = -(row[col] * piv_inv)
-            a[r] = row[:col + 1] + _axpy(row[col + 1:], nf, pivot[col + 1:])
-    return True
+        pivots.append(pivot[col])
+        neg_inv, tail = -piv_inv, pivot[col + 1:]
+        for row in a[col + 1:]:
+            if not row[col].is_zero:
+                # entries left of col + 1 are never read again
+                row[col + 1:] = _axpy(row[col + 1:], row[col] * neg_inv, tail)
+    k = len(pivots)
+    return pivots, swaps, [row[k:] for row in a[k:]]
+
+
+def is_nonsingular(grid) -> bool:
+    """True exactly when ``mat_inverse(grid, ring)`` returns: forward
+    elimination finds a pivot in every column."""
+    return not _forward_eliminate(grid)[2]
 
 
 def commutative_det(grid, ring):
     """Determinant of a matrix with pairwise commuting entries (the degree-0
-    diagonal quasiminors) by Berkowitz's division-free algorithm, Inf.
-    Process. Lett. 18 (1984); nilpotent entries need no division.
+    diagonal quasiminors) by forward elimination on unit pivots, with
+    Berkowitz's division-free algorithm on the trailing block left at the
+    first column that offers no invertible pivot.
+
+    The inverse of a unit commutes with everything the unit commutes with,
+    so the entries, pivots and pivot inverses generate a commutative ring,
+    where a row swap negates the determinant and adding a multiple of one
+    row to another keeps it.  Elimination therefore leaves a block upper
+    triangular matrix [[T, *], [0, B]] with T upper triangular on the pivots
+    and det X = (-1)^swaps * prod(pivots) * det B.  It divides only by units,
+    so it is exact in any commutative ring, nilpotent entries included.
+    Below 3 x 3 Berkowitz is the closed form a or ad - bc and needs no
+    inverse, so it runs alone.
+    """
+    n = len(grid)
+    if any(len(row) != n for row in grid):
+        raise ValueError("matrix must be square")
+    if n < 3:
+        return _berkowitz(grid, ring)
+    pivots, swaps, rest = _forward_eliminate(grid)
+    if rest:
+        pivots.append(_berkowitz(rest, ring))
+    det = math.prod(pivots[1:], start=pivots[0])
+    return -det if swaps & 1 else det
+
+
+def _berkowitz(grid, ring):
+    """Determinant of a square commuting grid by Berkowitz's division-free
+    algorithm, Inf. Process. Lett. 18 (1984); nilpotent entries need no
+    division.
 
     With M the leading k x k block, c and r the rest of column and row k and
     a the corner, det(tI + [[M, c], [r, a]]) is the polynomial part of
     det(tI + M) (t + a - sum_j (-1)^j (r M^j c) t^(-j-1)).
     """
     n = len(grid)
-    if any(len(row) != n for row in grid):
-        raise ValueError("matrix must be square")
     if n == 0:
         return ring.one()
     # p[m - 1] is the coefficient of t^(k-m) in det(tI + M); the leading 1

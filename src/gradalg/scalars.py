@@ -454,11 +454,11 @@ class Element(RingElement):
         (those of even degree are products of two odd ones), so this keeps
         exactly the pure Clifford terms.
         """
-        size = 1 << self.algebra.n
-        if all(i < size for i in self._num):
+        alg = self.algebra
+        size = 1 << alg.n
+        if not alg.odd_degrees or max(self._num, default=0) < size:
             return self
-        return _normalized(self.algebra, {i: v for i, v in self._num.items() if i < size},
-                           self._den)
+        return _normalized(alg, {i: v for i, v in self._num.items() if i < size}, self._den)
 
     # an Element has no zeta, so its residue is its reduction mod the odd ideal
     residue = strip_odd

@@ -9,7 +9,8 @@ from fractions import Fraction
 import pytest
 
 from gradalg import (Algebra, DimensionNotAdmissibleError, GradedMatrix, GroupElement,
-                     NotInvertibleError, block_quasidet, grassmann,
+                     NilpotentPoly, NotInvertibleError, SeriesRing, block_quasidet,
+                     extended_quaternions, grassmann,
                      HomogeneityError, RankVector, RegularityError,
                      elementary_sandwich_check, gdet0,
                      gdet_certified, gdet_graded, gdet_ldu, identity_matrix,
@@ -301,6 +302,22 @@ class TestCommutativeDet:
             ring = Algebra(0, 1)
             i = ring.generator(1)
             return ring, lambda: ring.scalar(rng.randint(-4, 4)) + i * rng.randint(-4, 4)
+        if name == "series":
+            # Q[zeta]/(zeta^4): a zero constant term makes an entry nilpotent
+            ring = SeriesRing(Algebra(0, 0), order=4)
+
+            def series():
+                c0 = rng.choice([0, 0, 1, -2, 3])
+                return NilpotentPoly(ring, [ring.base.scalar(c0)] + [
+                    ring.base.scalar(random_rational(rng, -3, 3)) for _ in range(3)])
+            return ring, series
+        if name == "EH0":
+            # degree-0 part of extended H: 1 and i t1 t2, which squares to zero
+            ring = extended_quaternions()
+            basis = [ring.monomial(cl, odd)
+                     for cl, odd in ring.monomials_by_degree()[GroupElement.zero(3)]]
+            return ring, lambda: sum((m * rng.choice([0, 0, 1, -1, 2]) for m in basis),
+                                     ring.zero())
         ring = grassmann(4)
         theta = [ring.odd_generator(t) for t in range(1, 5)]
         pairs = [a * b for a, b in itertools.combinations(theta, 2)]
@@ -314,13 +331,77 @@ class TestCommutativeDet:
             return x
         return ring, even
 
-    @pytest.mark.parametrize("name", ["Q", "C", "grassmann4"])
+    @pytest.mark.parametrize("name", ["Q", "C", "grassmann4", "series", "EH0"])
     @pytest.mark.parametrize("n", range(7))
     def test_matches_leibniz(self, name, n, rng):
         ring, draw = self._entries(name, rng)
         for _ in range(2):
             grid = [[draw() for _ in range(n)] for _ in range(n)]
             assert rm.commutative_det(grid, ring) == leibniz_det(grid, ring)
+
+    @staticmethod
+    def _berkowitz_sizes(monkeypatch):
+        """Record the size of every grid handed to the Berkowitz helper."""
+        sizes, berkowitz = [], rm._berkowitz
+
+        def spy(grid, ring):
+            sizes.append(len(grid))
+            return berkowitz(grid, ring)
+        monkeypatch.setattr(rm, "_berkowitz", spy)
+        return sizes
+
+    def test_row_swap_sign(self, Q, monkeypatch):
+        sizes = self._berkowitz_sizes(monkeypatch)
+        # a[0][0] = 0, so column 0 swaps rows; one swap negates the product
+        grid = [[Q.scalar(v) for v in row] for row in ([0, 1, 2], [3, 4, 5], [6, 7, 9])]
+        assert rm.commutative_det(grid, Q) == Q.scalar(-3) == leibniz_det(grid, Q)
+        assert sizes == []
+
+    def test_fallback_after_eliminated_column(self, monkeypatch):
+        ring = SeriesRing(Algebra(0, 0), order=4)
+        z = ring.zeta()
+        sizes = self._berkowitz_sizes(monkeypatch)
+        # column 0 eliminates on the unit 1; column 1 then holds z and z^2
+        grid = [[ring.one(), ring.scalar(2), ring.scalar(3)],
+                [ring.one(), ring.scalar(2) + z, ring.scalar(5)],
+                [ring.zero(), z * z, ring.one()]]
+        assert rm.commutative_det(grid, ring) == z - 2 * z * z == leibniz_det(grid, ring)
+        assert sizes == [2]
+
+    def test_fallback_at_column_zero(self, monkeypatch):
+        ring = SeriesRing(Algebra(0, 0), order=4)
+        z = ring.zeta()
+        sizes = self._berkowitz_sizes(monkeypatch)
+        # every candidate of column 0 is nilpotent, so Berkowitz takes it all
+        grid = [[z, ring.one(), ring.zero()],
+                [z * z, ring.zero(), ring.one()],
+                [z * z * z, ring.one(), ring.one()]]
+        det = rm.commutative_det(grid, ring)
+        assert det == leibniz_det(grid, ring) and not det.is_zero
+        assert sizes == [3]
+
+    def test_unit_pivots_skip_berkowitz(self, Q, rng, monkeypatch):
+        def refuse(grid, ring):
+            raise AssertionError("Berkowitz called on a matrix with unit pivots")
+        monkeypatch.setattr(rm, "_berkowitz", refuse)
+        n = 5
+        while True:
+            grid = [[Q.scalar(random_rational(rng)) for _ in range(n)] for _ in range(n)]
+            want = leibniz_det(grid, Q)
+            if not want.is_zero:
+                break
+        # over a field every column of a nonsingular matrix has a unit pivot
+        assert rm.commutative_det(grid, Q) == want
+
+    def test_no_inverse_below_3x3(self, rng, monkeypatch):
+        ring, draw = self._entries("series", rng)
+        grids = [[[draw() for _ in range(n)] for _ in range(n)] for n in (0, 1, 2, 2, 2)]
+        want = [leibniz_det(g, ring) for g in grids]
+
+        def refuse(self):
+            raise AssertionError("series inverse formed below 3 x 3")
+        monkeypatch.setattr(NilpotentPoly, "inverse", refuse)
+        assert [rm.commutative_det(g, ring) for g in grids] == want
 
     def test_single_block_gdet_of_lu_product(self, H, rng):
         # one 9 x 9 degree-0 block over H: gdet0 is commutative_det, and a
