@@ -4,10 +4,13 @@ nilpotent extension."""
 
 from __future__ import annotations
 
+from functools import lru_cache
+from math import lcm
+
 from . import ringmat as rm
 from .errors import NotInvertibleError, RegularityError
 from .matrices import GradedMatrix, matrix_inverse, redivide_2x2, require_homogeneous
-from .determinant import _sandwich_check, gdet_blocks, gdet_blocks_ldu
+from .determinant import _degree_unit, _sandwich_check, gdet_blocks, gdet_blocks_ldu
 from .series import NilpotentPoly, SeriesRing, nilpotent_exp
 from .trace import gtr
 
@@ -27,10 +30,10 @@ def is_invertible0(X: GradedMatrix) -> bool:
     ideal, which characterizes invertibility of a degree-0 matrix.
 
     Each corner is reduced entrywise to its residue (``RingElement.residue``:
-    zeta -> 0 on a series, then mod the odd ideal), and the residue grid goes
-    through ``ringmat.is_nonsingular``, forward elimination with the pivot
-    search of ``mat_inverse``.  The answer is that of the same elimination on
-    the corner itself, so it is whether ``invert0`` would succeed:
+    zeta -> 0 on a series, then mod the odd ideal).  Forward elimination on
+    the residue grid with the pivot search of ``mat_inverse`` gives the
+    answer of the same elimination on the corner itself, so it is whether
+    ``invert0`` would succeed:
 
     - the residue map is a ring homomorphism, as a composite of two quotient
       maps, so it commutes with every row update;
@@ -45,6 +48,26 @@ def is_invertible0(X: GradedMatrix) -> bool:
     one, and both meet the same candidates and pick the same pivots.  Over
     A[zeta] no series inverse or series product is formed.
 
+    That elimination is decided on integers.  Every even degree d is carried
+    by exactly one blade b_d, so in a corner with weights w_i the residue of
+    a homogeneous entry reads c_ij b_(w_i + w_j) with c_ij rational: the
+    degree law.  Let q_i be the degree unit of w_i + w_ref, w_ref the
+    corner's first weight (``determinant._degree_unit``).  Then
+    q_i b_(w_i + w_j) q_j^-1 has degree 0, so it is a sign S_ij = +-1, and
+    the residue R satisfies Q R Q^-1 = S o C for Q = diag(q_i).  Follow the
+    elimination on R with A_rc = q_pi(r) a_rc q_c^-1, where pi tracks the
+    row swaps, so A starts as S o C.  While A is rational, every nonzero
+    a_rc = q_pi(r)^-1 A_rc q_c is a unit, so ``_pivot`` takes the first
+    nonzero candidate, as Gaussian elimination over Q does; and the update
+    a_r - a_rk a_kk^-1 a_k conjugates to A_r - (A_rk / A_kk) A_k, which keeps
+    A rational with the same zero pattern as R.  Hence the elimination on R
+    finds a pivot in every column iff S o C is nonsingular over Q.  Scaling
+    each row by the lcm of its denominators keeps that, and
+    ``ringmat.bareiss_nonsingular`` decides it on Python ints, forming no
+    scalar inverse or product.  A corner with an entry off the law (several
+    residue terms, or the wrong blade) is eliminated over its residues by
+    ``ringmat.is_nonsingular``.
+
     The two corners are cut straight from the entries at the parity split,
     and the smaller one is tested first.  The answer is the conjunction of
     both tests, so their order cannot change it; a rejection sampler gains,
@@ -54,14 +77,58 @@ def is_invertible0(X: GradedMatrix) -> bool:
     """
     _require_degree0(X)
     rows = X.entries
-    n = len(rows)
-    ranks = X.row_ranks
+    return all(_corner_nonsingular([row[lo:hi] for row in rows[lo:hi]], law)
+               for lo, hi, law in _corner_laws(getattr(X.ring, "base", X.ring), X.row_ranks))
+
+
+def _corner_nonsingular(corner, law) -> bool:
+    ints = None if law is None else [_signed_row(row, r_law) for row, r_law in zip(corner, law)]
+    if ints is None or None in ints:
+        return rm.is_nonsingular([[v.residue() for v in row] for row in corner])
+    return rm.bareiss_nonsingular(ints)
+
+
+@lru_cache(maxsize=None)
+def _corner_laws(alg, ranks):
+    """(lo, hi, law) for the two parity corners, the smaller first.  law[i][j]
+    is (k, S_ij): the basis index k of the blade b_(w_i + w_j) and the sign
+    q_i b_k q_j^-1 of ``is_invertible0``; law is None when the algebra has
+    no degree unit for the corner's weights."""
+    n = ranks.total
     split = ranks.offsets[len(ranks.ranks) // 2]
     # the reduced matrix is block diagonal; eliminating on the full grid
     # would carry the zero off-diagonal blocks through every row operation
     corners = ((0, split), (split, n)) if split <= n - split else ((split, n), (0, split))
-    return all(rm.is_nonsingular([[v.residue() for v in row[lo:hi]] for row in rows[lo:hi]])
-               for lo, hi in corners)
+    return tuple((lo, hi, _degree_law(alg, ranks.weights[lo:hi])) for lo, hi in corners)
+
+
+def _degree_law(alg, weights):
+    try:
+        units = [_degree_unit(alg, w + weights[0]) for w in weights]
+        blades = [[_degree_unit(alg, wi + wj) for wj in weights] for wi in weights]
+    except ValueError:
+        return None
+    # q^2 = +-1 for a blade q, so q^-1 = q^3 and no inverse is formed
+    return tuple(tuple((next(iter(b._num)), int((qi * b * qj ** 3).scalar_part()))
+                       for b, qj in zip(row, units))
+                 for row, qi in zip(blades, units))
+
+
+def _signed_row(entries, row_law):
+    """One row of S o C cleared of denominators, or None when an entry's
+    residue is not a multiple of its blade."""
+    nums, dens = [], []
+    for v, (k, sign) in zip(entries, row_law):
+        r = v.residue()
+        num = r._num
+        c = num.get(k, 0)
+        # numerators are never 0, so the law holds iff num is {} or {k: c}
+        if len(num) != (c != 0):
+            return None
+        nums.append(sign * c)
+        dens.append(r._den)
+    den = lcm(*dens)
+    return nums if den == 1 else [c * (den // d) for c, d in zip(nums, dens)]
 
 
 def invert0(X: GradedMatrix) -> GradedMatrix:
@@ -87,17 +154,20 @@ def gber(X: GradedMatrix):
     require_homogeneous(X)
     if not is_invertible0(X):
         raise NotInvertibleError("graded Berezinian needs an invertible matrix")
-    r = redivide_2x2(X, "parity")
     even_sizes = [s for s in X.row_ranks.even_sizes if s > 0]
     odd_sizes = [s for s in X.row_ranks.odd_sizes if s > 0]
     if not odd_sizes:
         return _gdet_either_route(X.grid(), even_sizes, X.ring)
+    r = redivide_2x2(X, "parity")
     x22 = r.x22.grid()
     x22_inv = invert0(r.x22).grid()
     if even_sizes:
-        corner = rm.mat_sub(
-            r.x11.grid(),
-            rm.mat_mul(r.x12.grid(), rm.mat_mul(x22_inv, r.x21.grid())))
+        # each entry x - x12_r (x22^-1 x21)_c is one dot of (1, x12_r) with
+        # (x, -(x22^-1 x21)_c), as in block_quasidet
+        neg_cols = list(zip(*rm.mat_mul(rm.mat_neg(x22_inv), r.x21.grid())))
+        one = X.ring.one()
+        corner = [[one._dot([one, *lhs], (x, *col)) for x, col in zip(row, neg_cols)]
+                  for row, lhs in zip(r.x11.entries, r.x12.entries)]
         num = _gdet_either_route(corner, even_sizes, X.ring)
     else:
         num = X.ring.one()

@@ -16,6 +16,7 @@ the block left at the first column without one to Berkowitz's algorithm.
 Every row update goes through ``_axpy``, which forms each entry x - f*y as
 the two-pair dot 1*x + (-f)*y, so the scalar ring normalizes it once
 instead of after the product and again after the difference.
+``bareiss_nonsingular`` decides grids of Python ints without fractions.
 """
 
 from __future__ import annotations
@@ -151,9 +152,10 @@ def _forward_eliminate(grid):
 
     No identity is carried and no pivot row is scaled: each step updates the
     rows below the pivot right of its column with f = a[r][col] * piv_inv,
-    and -piv_inv is formed once per column.  By associativity f * a[col][c]
-    is the a[r][col] * (piv_inv * a[col][c]) of Gauss-Jordan, so every column
-    meets the same candidates as in ``mat_inverse`` and picks the same pivot.
+    and -piv_inv is formed once per column that has rows below it.  By
+    associativity f * a[col][c] is the a[r][col] * (piv_inv * a[col][c]) of
+    Gauss-Jordan, so every column meets the same candidates as in
+    ``mat_inverse`` and picks the same pivot.
     """
     n = len(grid)
     if any(len(row) != n for row in grid):
@@ -170,6 +172,8 @@ def _forward_eliminate(grid):
             swaps += 1
         pivot = a[col]
         pivots.append(pivot[col])
+        if col + 1 == n:
+            break
         neg_inv, tail = -piv_inv, pivot[col + 1:]
         for row in a[col + 1:]:
             if not row[col].is_zero:
@@ -183,6 +187,40 @@ def is_nonsingular(grid) -> bool:
     """True exactly when ``mat_inverse(grid, ring)`` returns: forward
     elimination finds a pivot in every column."""
     return not _forward_eliminate(grid)[2]
+
+
+def bareiss_nonsingular(rows) -> bool:
+    """True exactly when the square matrix of Python ints ``rows`` is
+    nonsingular over Q, by Bareiss's fraction-free elimination (Math. Comp.
+    22, 1968).
+
+    Step k swaps up the first row with a nonzero entry in column k, then
+    replaces each lower row r by (p * a[r] - a[r][k] * a[k]) / prev, with p
+    the pivot and prev the pivot before it (1 at the first step).  That is
+    the rational elimination step row_r - (a[r][k] / p) row_k scaled by the
+    nonzero p / prev, so the zero pattern, the pivot rows and the answer are
+    those of Gaussian elimination over Q: a column with no nonzero candidate
+    occurs iff the matrix is singular.  By Sylvester's identity every entry
+    is then a minor of the row-permuted input, so the division is exact and
+    no entry outgrows the minors.
+    """
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix must be square")
+    a = [list(row) for row in rows]
+    prev = 1
+    for k in range(n):
+        r = next((r for r in range(k, n) if a[r][k]), None)
+        if r is None:
+            return False
+        if r != k:
+            a[k], a[r] = a[r], a[k]
+        p, tail = a[k][k], a[k][k + 1:]
+        for row in a[k + 1:]:
+            f = row[k]
+            row[k + 1:] = [(p * x - f * y) // prev for x, y in zip(row[k + 1:], tail)]
+        prev = p
+    return True
 
 
 def commutative_det(grid, ring):

@@ -293,6 +293,141 @@ class TestSlicedCorners:
         assert min(seen.values()) >= 5
 
 
+class TestIntegerCorners:
+    """A corner whose residue obeys the degree law is decided by Bareiss on
+    the signed rational image S o C; the answer must be the residue
+    elimination's, and any other corner goes through that elimination."""
+
+    @pytest.mark.parametrize("alg_name, ranks", [
+        ("H", (1, 1, 2, 1, 0, 0, 0, 0)),
+        ("H", (0, 0, 0, 0, 1, 1, 1, 0)),
+        ("EH", (1, 1, 1, 1, 1, 1, 0, 0)),
+        ("EH", (1, 0, 0, 0, 2, 1, 0, 0)),
+        ("Cl11", (1, 1, 1, 0, 0, 0, 0, 0)),
+        ("Cl11", (0, 0, 0, 0, 1, 0, 1, 1)),
+        ("Cl03", (1, 0, 1, 1, 0, 0, 1, 0) + (0,) * 8),
+        ("Cl03", (0,) * 8 + (1, 0, 0, 1, 0, 0, 1, 0)),
+        ("GR", (2, 2)),
+        ("GR", (3, 1))])
+    @pytest.mark.parametrize("bound", [1, 2, 9])
+    def test_matches_residue_elimination(self, alg_name, ranks, bound, H, EH, GR):
+        import random
+        from gradalg import Algebra
+        alg = {"H": H, "EH": EH, "Cl11": Algebra(1, 1), "Cl03": Algebra(0, 3),
+               "GR": GR}[alg_name]
+        rk = RankVector(alg.arity, ranks)
+        rng = random.Random(1802 + bound)
+        weights = rk.weights
+        seen = set()
+        for k in range(40):
+            X = random_matrix(rng, alg, rk, bound=bound)
+            # a row copied onto a later row of the same weight makes a
+            # singular corner that need not contain a zero entry
+            r = next((r for r in range(1, len(weights)) if weights[r] == weights[0]), None)
+            copied = X.grid()
+            if r is not None:
+                copied[r] = copied[0][:]
+            mats = [X, X.with_entries(copied)]
+            if k % 4 == 0:
+                ring = SeriesRing(alg, 1 + k % 3)
+                mats += [series_matrix(X, ring), series_matrix(X, ring, 1),
+                         matrix_exp_zeta(X, ring)]
+            for M in mats:
+                want = redivided_answer(M)
+                assert is_invertible0(M) is want
+                seen.add(want)
+        assert seen == {True, False}
+
+    def test_sign_decides(self, H, units):
+        # over weights 0 and deg i: S = [[1, 1], [-1, 1]] since i^2 = -1, so
+        # [[1, i], [i, 1]] is invertible although C = [[1, 1], [1, 1]] is
+        # singular, and [[1, i], [-i, 1]] is singular although C is not
+        i = units[0]
+        rk = rank_even((1, 1, 0, 0))
+        one = H.one()
+        for grid, want in (([[one, i], [i, one]], True), ([[one, i], [-i, one]], False),
+                           ([[one, i * 2], [i, -one]], True), ([[one, i * 2], [-i, -one]], True)):
+            X = GradedMatrix(H, rk, rk, GroupElement.zero(3), grid)
+            assert redivided_answer(X) is want
+            assert is_invertible0(X) is want
+
+    def test_row_swap_and_denominators(self, H, units, monkeypatch):
+        # the first column's leading residue is zero, and entries carry
+        # different denominators within a row
+        from gradalg import berezinian
+        eliminate = berezinian.rm.bareiss_nonsingular
+        kernel_calls = []
+        monkeypatch.setattr(rm, "bareiss_nonsingular",
+                            lambda rows: kernel_calls.append(rows) or eliminate(rows))
+        i, j, k = units
+        rk = rank_even((1, 1, 1, 0))
+        z, half = H.zero(), Fraction(1, 2)
+        grid = [[z, i * half, j * Fraction(1, 3)],
+                [i * Fraction(2, 5), H.scalar(Fraction(1, 7)), k],
+                [j, k * 3, H.scalar(half)]]
+        X = GradedMatrix(H, rk, rk, GroupElement.zero(3), grid)
+        assert is_invertible0(X) is redivided_answer(X) is True
+        # k times row 1 is a row of row 2's weight, so this corner is singular
+        grid[2] = [k * x for x in grid[1]]
+        X = GradedMatrix(H, rk, rk, GroupElement.zero(3), grid)
+        assert is_invertible0(X) is redivided_answer(X) is False
+        # both matrices went to the kernel (after their empty odd corners);
+        # row 2 of the second reads S o C = (-2/5, 1/7, -1), times 35
+        assert [len(rows) for rows in kernel_calls] == [0, 3, 0, 3]
+        assert kernel_calls[3][2] == [-14, 5, -35]
+
+    def test_off_law_corner_uses_residue_elimination(self, H, units, monkeypatch):
+        i, j, _ = units
+        one = H.one()
+        rk = rank_even((2, 0, 0, 0))
+        calls = []
+        eliminate = rm.is_nonsingular
+
+        def counted(grid):
+            calls.append(len(grid))
+            return eliminate(grid)
+        monkeypatch.setattr(rm, "is_nonsingular", counted)
+        # 1 + i has two terms; i sits where the law wants a rational
+        for grid in ([[one + i, one], [one, one - i]], [[one + i, one + i], [one, one]],
+                     [[i, H.zero()], [H.zero(), one]], [[i, j], [j * i, one]]):
+            X = GradedMatrix(H, rk, rk, GroupElement.zero(3), grid)
+            calls.clear()
+            got = is_invertible0(X)
+            assert calls == [2]
+            calls.clear()
+            assert got is redivided_answer(X)
+        X = GradedMatrix(H, rk, rk, GroupElement.zero(3), [[one, one], [one, -one]])
+        calls.clear()
+        assert is_invertible0(X) is True
+        assert calls == []
+        # ranks of another arity than H's give no degree units, hence no law
+        rk1 = RankVector(1, (2, 0))
+        X = GradedMatrix(H, rk1, rk1, GroupElement.zero(1), [[one, i], [i, one]])
+        calls.clear()
+        assert is_invertible0(X) is True
+        assert calls == [2]
+
+    def test_law_abiding_corner_forms_no_scalar_work(self, H, EH, monkeypatch):
+        import random
+        from gradalg import Element, berezinian
+        rng = random.Random(1803)
+        cases = []
+        for alg, rk in ((H, rank_even((2, 1, 1, 2))), (EH, RK_EXT)):
+            for _ in range(30):
+                X = random_matrix(rng, alg, rk, bound=2)
+                cases.append((X, redivided_answer(X)))
+        assert {want for _, want in cases} == {True, False}
+
+        def refuse(*args):
+            raise AssertionError("scalar inverse, product or residue elimination formed")
+        berezinian._corner_laws.cache_clear()
+        monkeypatch.setattr(Element, "inverse", refuse)
+        monkeypatch.setattr(Element, "_dot", refuse)
+        monkeypatch.setattr(rm, "is_nonsingular", refuse)
+        for X, want in cases:
+            assert is_invertible0(X) is want
+
+
 class TestGberAxioms:
     def test_identity_maps_to_one(self, EH):
         assert gber(identity_matrix(EH, RK_EXT)) == EH.one()
@@ -384,6 +519,35 @@ class TestGberAxioms:
                 assert gber(X) == gdet0(X)
             except RegularityError:
                 continue
+            done += 1
+
+    def test_purely_even_needs_no_redivision(self, H, rng, monkeypatch):
+        from gradalg import berezinian
+
+        def refuse(*args):
+            raise AssertionError("purely even input redivided")
+        X = random_invertible(rng, H, rank_even((1, 1, 2, 1)))
+        want = gdet0(X)
+        monkeypatch.setattr(berezinian, "redivide_2x2", refuse)
+        assert gber(X) == want
+
+    def test_schur_corner_matches_product_then_difference(self, EH, rng):
+        from gradalg.berezinian import _gdet_either_route
+        done = 0
+        while done < 6:
+            X = random_invertible(rng, EH, RK_EXT)
+            r = redivide_2x2(X, "parity")
+            x22 = r.x22.grid()
+            corner = rm.mat_sub(r.x11.grid(), rm.mat_mul(
+                r.x12.grid(), rm.mat_mul(rm.mat_inverse(x22, EH), r.x21.grid())))
+            try:
+                want = (_gdet_either_route(corner, (1, 1, 1, 1), EH)
+                        * _gdet_either_route(x22, (1, 1), EH).inverse())
+            except RegularityError:
+                with pytest.raises(RegularityError):
+                    gber(X)
+                continue
+            assert gber(X) == want
             done += 1
 
     def test_multiplicativity(self, EH, rng):

@@ -738,3 +738,75 @@ class TestFusedUpdate:
             assert rm.is_nonsingular(grid) is _reference_nonsingular(grid) is (want is not None)
             outcomes.add(want is not None)
         assert outcomes == {True, False}
+
+
+class TestPivotNegation:
+    def test_last_column_forms_no_negation(self, H, monkeypatch):
+        # a pivot inverse is negated only for the rows below it, so a 2x2
+        # grid negates once, in column 0
+        count = [0]
+        neg = Element.__neg__
+
+        def counted(self):
+            count[0] += 1
+            return neg(self)
+        monkeypatch.setattr(Element, "__neg__", counted)
+        assert rm.is_nonsingular([[H.scalar(2), H.one()], [H.one(), H.one()]])
+        assert count[0] == 1
+        count[0] = 0
+        assert rm.is_nonsingular([[H.scalar(3)]])
+        assert count[0] == 0
+
+
+def _fraction_det(rows):
+    """Leibniz determinant over Q, the reference for the integer kernel."""
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        total += (-1) ** inversions * math.prod(rows[r][perm[r]] for r in range(n))
+    return total
+
+
+class TestBareiss:
+    """ringmat.bareiss_nonsingular decides nonsingularity over Q on ints."""
+
+    def test_empty_and_one_by_one(self):
+        assert rm.bareiss_nonsingular([]) is True
+        assert rm.bareiss_nonsingular([[0]]) is False
+        assert rm.bareiss_nonsingular([[-7]]) is True
+
+    def test_required_row_swap(self):
+        assert rm.bareiss_nonsingular([[0, 1], [1, 0]]) is True
+        assert rm.bareiss_nonsingular([[0, 1, 2], [0, 3, 1], [1, 0, 0]]) is True
+        assert rm.bareiss_nonsingular([[0, 1, 0], [1, 0, 0], [1, 0, 0]]) is False
+
+    def test_singular_without_zero_entries(self):
+        assert rm.bareiss_nonsingular([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) is False
+        assert rm.bareiss_nonsingular([[2, -3], [-4, 6]]) is False
+
+    def test_large_entries(self):
+        big = 10 ** 40
+        assert rm.bareiss_nonsingular([[big + 1, big], [big, big - 1]]) is True   # det -1
+        assert rm.bareiss_nonsingular([[big, 3 * big + 7], [2 * big, 6 * big + 14]]) is False
+        rows = [[(r + 1) * big + c for c in range(4)] for r in range(4)]
+        assert rm.bareiss_nonsingular(rows) is (_fraction_det(rows) != 0)
+
+    def test_input_is_not_changed_and_must_be_square(self):
+        rows = [[0, 2], [3, 4]]
+        assert rm.bareiss_nonsingular(rows)
+        assert rows == [[0, 2], [3, 4]]
+        with pytest.raises(ValueError):
+            rm.bareiss_nonsingular([[1, 2]])
+
+    def test_matches_leibniz(self):
+        rng = random.Random(1801)
+        outcomes = set()
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            rows = [[rng.choice((0, 0, 1, -1, rng.randint(-9, 9))) for _ in range(n)]
+                    for _ in range(n)]
+            want = _fraction_det(rows) != 0
+            assert rm.bareiss_nonsingular(rows) is want
+            outcomes.add(want)
+        assert outcomes == {True, False}
