@@ -11,6 +11,7 @@ from . import ringmat as rm
 from .errors import NotInvertibleError, RegularityError
 from .matrices import GradedMatrix, matrix_inverse, redivide_2x2, require_homogeneous
 from .determinant import _degree_unit, _sandwich_check, gdet_blocks, gdet_blocks_ldu
+from .scalars import Element
 from .series import NilpotentPoly, SeriesRing, nilpotent_exp
 from .trace import gtr
 
@@ -62,9 +63,9 @@ def is_invertible0(X: GradedMatrix) -> bool:
     a_r - a_rk a_kk^-1 a_k conjugates to A_r - (A_rk / A_kk) A_k, which keeps
     A rational with the same zero pattern as R.  Hence the elimination on R
     finds a pivot in every column iff S o C is nonsingular over Q.  Scaling
-    each row by the lcm of its denominators keeps that, and
-    ``ringmat.bareiss_nonsingular`` decides it on Python ints, forming no
-    scalar inverse or product.  A corner with an entry off the law (several
+    each row by a positive integer that clears its denominators keeps that,
+    and ``ringmat.bareiss_nonsingular`` decides it on Python ints, forming
+    no scalar inverse or product.  A corner with an entry off the law (several
     residue terms, or the wrong blade) is eliminated over its residues by
     ``ringmat.is_nonsingular``.
 
@@ -116,17 +117,26 @@ def _degree_law(alg, weights):
 
 def _signed_row(entries, row_law):
     """One row of S o C cleared of denominators, or None when an entry's
-    residue is not a multiple of its blade."""
+    residue is not a multiple of its blade.
+
+    An Element's residue is its terms below index 2^n over its own
+    denominator, read here from ``_num`` without building the residue; that
+    fraction need not be reduced, which scales the row by a positive
+    rational and keeps its singularity."""
     nums, dens = [], []
     for v, (k, sign) in zip(entries, row_law):
-        r = v.residue()
-        num = r._num
+        if not isinstance(v, Element):
+            v = v.residue()
+        num = v._num
         c = num.get(k, 0)
         # numerators are never 0, so the law holds iff num is {} or {k: c}
+        # once the odd terms (indices 2^n and up) are left out
         if len(num) != (c != 0):
-            return None
+            size = 1 << v.algebra.n
+            if any(i != k and i < size for i in num):
+                return None
         nums.append(sign * c)
-        dens.append(r._den)
+        dens.append(v._den)
     den = lcm(*dens)
     return nums if den == 1 else [c * (den // d) for c, d in zip(nums, dens)]
 

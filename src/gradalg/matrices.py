@@ -10,6 +10,7 @@ from functools import cached_property
 from . import ringmat as rm
 from .errors import HomogeneityError
 from .grading import GroupElement, StandardOrder, standard_order
+from .scalars import Element
 
 
 @dataclass(frozen=True)
@@ -211,14 +212,28 @@ def unitriangular_g(alpha: int, beta: int, lam, ranks: RankVector, ring=None) ->
 
 
 def check_homogeneous(X: GradedMatrix) -> bool:
-    """True iff every entry is zero or homogeneous of its block-law degree."""
+    """True iff every entry is zero or homogeneous of its block-law degree.
+
+    An Element entry is checked in one pass over its basis indices against
+    its algebra's degree table; other entries go through ``degree()``.
+    """
     m = X.degree.m
+    alg = degrees = None
     # w_r + w_c + degree as masks, since (Z2)^m adds by XOR; the weights are
     # looked up once per row and column
     col_masks = [w.mask for w in X.col_ranks.weights]
     for row, wr in zip(X.entries, X.row_ranks.weights):
         target = wr.mask ^ X.degree.mask
         for v, wc in zip(row, col_masks):
+            if isinstance(v, Element):
+                if v.algebra is not alg:
+                    alg = v.algebra
+                    degrees = alg._degrees if alg.arity == m else None
+                want = target ^ wc
+                for i in v._num:
+                    if degrees is None or degrees[i].mask != want:
+                        return False
+                continue
             if v.is_zero:
                 continue
             d = v.degree()

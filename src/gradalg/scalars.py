@@ -15,6 +15,15 @@ is structural.  Products read a signed table shared by all equal algebras:
 product vanishes (Dorst, Fontijne and Mann, Geometric Algebra for Computer
 Science, 2007).  Entries are computed on first use, so a sparse product in an
 algebra with many generators costs no more than the pairs it touches.
+
+Every product and dot product goes through one kernel, ``_sum_of_products``.
+Each even degree of Cl_{p,q} is carried by one blade, so the entries of a
+homogeneous matrix, and the products and Schur complements built from them,
+are single terms whose products in a dot product all land on one basis index;
+while that holds the kernel keeps one integer numerator over a running
+denominator, and it falls back to a dict of numerators at the first operand
+or product that breaks it.  Sums of two single terms on one index take the
+same shortcut.
 """
 
 from __future__ import annotations
@@ -345,6 +354,15 @@ class Element(RingElement):
         g = gcd(d1, d2)
         m1 = d2 // g
         m2 = sign * (d1 // g)
+        if len(n1) == 1 and n1.keys() == n2.keys():
+            # one term on both sides: one numerator, as in _sum_of_products
+            k, = n1
+            v = n1[k] * m1 + n2[k] * m2
+            if not v:
+                return _element(self.algebra, {}, 1)
+            den = d1 * m1
+            g = gcd(v, den)
+            return _element(self.algebra, {k: v // g}, den // g)
         out = dict(n1) if m1 == 1 else {k: v * m1 for k, v in n1.items()}
         for k, v in n2.items():
             out[k] = out.get(k, 0) + v * m2
@@ -534,11 +552,40 @@ def _sum_of_products(alg: Algebra, pairs) -> Element:
 
     Products are read off the shared table and their integer numerators added
     over a running least common denominator, so the whole sum is normalized
-    once; the result equals the left fold of ``x*y`` structurally.
+    once.  While every pair's operands are single terms whose products land
+    on one basis index k (the common case: each even degree of Cl(p,q) is
+    one blade, so homogeneous entries and everything built from them are
+    single terms), the sum is one integer ``acc`` over ``den`` times e_k and
+    no dict is built.  The first operand with several terms, or the first
+    product on another index, spills ``{k: acc}`` over ``den`` into a dict
+    of numerators, and the dict loop carries on from that pair.  Zero
+    operands and vanishing products are skipped in both modes, and a foreign
+    operand raises in both.
+
+    The result equals the left fold of ``x*y`` structurally (same ``_num``,
+    same ``_den``, zero over 1):
+    - each mode adds exact integer numerators over a common denominator:
+      ``acc/den + c/d = (acc * (d/g) + c * (den/g)) / (den*d/g)`` with
+      g = gcd(den, d), and the dict loop rescales every numerator the same
+      way.  A spill happens before the pair's product is added, and the
+      dict loop then takes that pair, so every product is added once and
+      on return (numerators, den) represents the exact sum;
+    - the returned Element is canonical (no zero numerator, numerators and
+      den coprime, den > 0, zero over 1): ``_normalized`` ensures it in dict
+      mode, and in one-term mode the numerator and den are divided by their
+      gcd, with zero mapped to {} over 1;
+    - a canonical form is unique: den is a multiple of the lcm D of the
+      coefficients' reduced denominators, and den / D divides den and every
+      numerator, so it is 1; thus den = D and each numerator is its
+      coefficient times D;
+    - ``x*y`` and ``+`` return canonical Elements too, so the fold and this
+      sum, being equal in value, are equal in ``_num`` and ``_den``.
     """
     table = alg._table
-    out = {}
+    out = None  # the numerators by basis index, once the one-term mode ends
+    acc = 0
     den = 1
+    key = -1  # basis index of the one-term sum, -1 before its first product
     for x, y in pairs:
         if (x.algebra is not alg and x.algebra != alg) or (y.algebra is not alg
                                                            and y.algebra != alg):
@@ -547,6 +594,32 @@ def _sum_of_products(alg: Algebra, pairs) -> Element:
         if not left or not right:
             continue
         d = x._den * y._den
+        if out is None:
+            if len(left) == 1 and len(right) == 1:
+                i, = left
+                j, = right
+                k = table[i][j]
+                if not k:
+                    continue
+                c = left[i] * right[j]
+                if k > 0:
+                    k -= 1
+                else:
+                    k = -k - 1
+                    c = -c
+                if key < 0:
+                    key, acc, den = k, c, d
+                    continue
+                if k == key:
+                    if d == den:
+                        acc += c
+                    else:
+                        g = gcd(den, d)
+                        acc = acc * (d // g) + c * (den // g)
+                        den *= d // g
+                    continue
+            # spill: this pair is the first the one-term mode cannot take
+            out = {key: acc} if key >= 0 else {}
         scale = 1
         if d != den:
             if out:
@@ -566,7 +639,12 @@ def _sum_of_products(alg: Algebra, pairs) -> Element:
                 elif k:
                     k = -k - 1
                     out[k] = out.get(k, 0) - a * b
-    return _normalized(alg, out, den)
+    if out is not None:
+        return _normalized(alg, out, den)
+    if not acc:
+        return _element(alg, {}, 1)
+    g = gcd(acc, den)
+    return _element(alg, {key: acc // g}, den // g)
 
 
 def _common_denominator(num: dict, den: int, d: int):

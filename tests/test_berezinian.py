@@ -10,7 +10,7 @@ from gradalg import (GradedMatrix, GroupElement, NilpotentPoly,
                      NotInvertibleError, RankVector, RegularityError, SeriesRing,
                      gber, gdet0, gtr, identity_matrix, invert0, is_invertible0,
                      liouville_check, mat_add, mat_mul, matrix_exp_zeta,
-                     odd_sandwich_check, redivide_2x2, series_matrix)
+                     odd_sandwich_check, quaternion_units, redivide_2x2, series_matrix)
 from gradalg import ringmat as rm
 from gradalg.randgen import random_invertible, random_matrix
 
@@ -424,6 +424,35 @@ class TestIntegerCorners:
         monkeypatch.setattr(Element, "inverse", refuse)
         monkeypatch.setattr(Element, "_dot", refuse)
         monkeypatch.setattr(rm, "is_nonsingular", refuse)
+        for X, want in cases:
+            assert is_invertible0(X) is want
+
+    def test_odd_terms_read_without_residue(self, EH, monkeypatch):
+        import random
+        from gradalg import Element, berezinian
+        i, j, _ = quaternion_units(EH)
+        t1, t2 = EH.odd_generator(1), EH.odd_generator(2)
+        one, law = EH.one(), ((0, 1),)
+        # the odd term stays in the denominator: 3/4 + (5/6) t1 t2 reads 9/12
+        assert berezinian._signed_row([one * Fraction(3, 4) + t1 * t2 * Fraction(5, 6)],
+                                      law) == [9]
+        assert berezinian._signed_row([t1 * t2 * 5], law) == [0]
+        assert berezinian._signed_row([one + i + t1 * t2], law) is None
+        assert berezinian._signed_row([i * t1 * t2], law) == [0]
+        # the same rows up to positive scaling as the residues give
+        rng = random.Random(2004)
+        cases = []
+        for _ in range(60):
+            X = random_matrix(rng, EH, RK_EXT, bound=2)
+            cases.append((X, redivided_answer(X)))
+        assert {want for _, want in cases} == {True, False}
+        assert any(v._num and max(v._num) >= 4 for X, _ in cases for row in X.entries
+                   for v in row)
+
+        def refuse(*args):
+            raise AssertionError("residue built for an Element entry")
+        monkeypatch.setattr(Element, "strip_odd", refuse)
+        monkeypatch.setattr(Element, "residue", refuse)
         for X, want in cases:
             assert is_invertible0(X) is want
 

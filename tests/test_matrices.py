@@ -71,6 +71,37 @@ class TestHomogeneity:
         X = GradedMatrix(alg, rk, rk, ZERO3, [[alg.one()]])
         assert not check_homogeneous(X) and X.entries[0][0].degree().mask == 0
 
+    def test_agrees_with_entry_degrees(self):
+        # the one-pass index scan against degree() entry by entry, on matrices
+        # with one entry made mixed, moved off its degree or lifted to a series
+        from gradalg import (Algebra, SeriesRing, extended_quaternions, grassmann,
+                             quaternions, series_matrix)
+
+        def reference(X):
+            return all(v.is_zero or (v.degree() is not None and v.degree().m == X.degree.m
+                                     and v.degree() == X.row_ranks.weight(r)
+                                     + X.col_ranks.weight(c) + X.degree)
+                       for r, row in enumerate(X.entries) for c, v in enumerate(row))
+        rng = random.Random(2005)
+        seen = set()
+        for alg, rk in ((quaternions(), rank_even((1, 2, 0, 1))),
+                        (extended_quaternions(), RankVector(3, (1, 1, 1, 1, 1, 1, 0, 0))),
+                        (Algebra(1, 1), RankVector(3, (1, 1, 0, 1, 0, 0, 0, 0))),
+                        (grassmann(2), RankVector(1, (2, 1)))):
+            keys = [(cl, odd) for odd in range(1 << alg.num_odd) for cl in range(1 << alg.n)]
+            for trial in range(30):
+                X = random_matrix(rng, alg, rk)
+                grid = X.grid()
+                r, c = rng.randrange(rk.total), rng.randrange(rk.total)
+                extra = alg.monomial(*rng.choice(keys), rng.randint(1, 3))
+                grid[r][c] = extra if trial % 3 == 0 else grid[r][c] + extra
+                Y = X.with_entries(grid)
+                for M in (Y, series_matrix(Y, SeriesRing(alg, 2), trial % 2)):
+                    want = reference(M)
+                    assert check_homogeneous(M) is want
+                    seen.add(want)
+        assert seen == {True, False}
+
 
 class TestScalarAction:
     def test_i_on_identity_1111(self, H, units):

@@ -603,6 +603,234 @@ class TestSumOfProducts:
         assert sring.zero()._dot([sring.zero()], [z]) == sring.zero()
 
 
+ONE_TERM_ALGEBRAS = [quaternions(), extended_quaternions(), Algebra(1, 1), Algebra(0, 3),
+                     grassmann(2)]
+ONE_TERM_IDS = ["H", "EH", "Cl11", "Cl03", "G2"]
+
+
+def _term(alg, cl, odd, c):
+    return Element(alg, {(cl, odd): c})
+
+
+def _coeff(rng, den):
+    return Fraction(rng.randint(-9, 9) or 1, rng.randint(1, den))
+
+
+def _pair_onto(rng, alg, key, den=7):
+    """Two single-term operands whose product is a nonzero multiple of the
+    basis monomial ``key``: the odd parts split key's odd part disjointly."""
+    cl_k, odd_k = key
+    t1 = odd_k & rng.randrange(1 << alg.num_odd)
+    cl1 = rng.randrange(1 << alg.n)
+    return (_term(alg, cl1, t1, _coeff(rng, den)),
+            _term(alg, cl1 ^ cl_k, odd_k & ~t1, _coeff(rng, den)))
+
+
+def _run_pairs(rng, alg, length, den):
+    """Mostly single-term pairs onto one monomial, with now and then a switch
+    of monomial, a zero operand, a multi-term operand or, with odd symbols,
+    a product that vanishes."""
+    keys = _basis_keys(alg)
+    key = rng.choice(keys)
+    xs, ys = [], []
+    for _ in range(length):
+        roll = rng.random()
+        if roll < 0.08:
+            key = rng.choice(keys)
+        if roll < 0.7:
+            x, y = _pair_onto(rng, alg, key, den)
+        elif roll < 0.8:
+            x, y = _pair_onto(rng, alg, key, den)
+            x, y = (alg.zero(), y) if roll < 0.75 else (x, alg.zero())
+        elif roll < 0.9:
+            x, y = _pair_onto(rng, alg, key, den)
+            multi = _random_element(rng, alg, density=0.7, den=den)
+            x, y = (multi, y) if roll < 0.85 else (x, multi)
+        elif alg.num_odd:
+            t = 1 << rng.randrange(alg.num_odd)
+            x = _term(alg, rng.randrange(1 << alg.n), t, _coeff(rng, den))
+            y = _term(alg, rng.randrange(1 << alg.n), t, _coeff(rng, den))
+        else:
+            x, y = _pair_onto(rng, alg, rng.choice(keys), den)
+        xs.append(x)
+        ys.append(y)
+    return xs, ys
+
+
+def _assert_dot_is_fold(xs, ys):
+    """The kernel against the left fold of x*y and against term-by-term
+    Fraction arithmetic, structurally."""
+    alg = xs[0].algebra
+    dot = xs[0]._dot(xs, ys)
+    fold = functools.reduce(operator.add, (x * y for x, y in zip(xs, ys)))
+    want = Element(alg, _reference_dot(xs, ys))
+    assert dot._num == fold._num == want._num
+    assert dot._den == fold._den == want._den
+    _assert_canonical(dot)
+    return dot
+
+
+class TestOneTermKernel:
+    """``_sum_of_products`` keeps one numerator while every product is a
+    single term on one basis index, and spills into the dict loop at the
+    first operand with several terms or the first product elsewhere."""
+
+    @pytest.mark.parametrize("alg", ONE_TERM_ALGEBRAS, ids=ONE_TERM_IDS)
+    def test_runs_equal_fold(self, alg):
+        rng = random.Random(2000 + alg.n * 10 + alg.num_odd)
+        for trial in range(150):
+            den = 7 if trial % 3 else 10 ** rng.randint(1, 20) + rng.randint(1, 99)
+            _assert_dot_is_fold(*_run_pairs(rng, alg, rng.randint(1, 8), den))
+
+    @pytest.mark.parametrize("alg", ONE_TERM_ALGEBRAS, ids=ONE_TERM_IDS)
+    def test_one_index_runs_stay_in_one_term_mode(self, alg, monkeypatch):
+        # the dict loop ends in _normalized; the one-term mode never calls it
+        from gradalg import scalars
+
+        def refuse(*args):
+            raise AssertionError("a one-index run spilled into the dict loop")
+        rng = random.Random(2100 + alg.n * 10 + alg.num_odd)
+        keys = _basis_keys(alg)
+        for _ in range(60):
+            key = rng.choice(keys)
+            pairs = [_pair_onto(rng, alg, key) for _ in range(rng.randint(1, 6))]
+            if rng.random() < 0.3:
+                pairs.insert(rng.randint(0, len(pairs)), (alg.zero(), pairs[0][1]))
+            xs, ys = zip(*pairs)
+            with monkeypatch.context() as patch:
+                patch.setattr(scalars, "_normalized", refuse)
+                dot = xs[0]._dot(xs, ys)
+            assert dot == _assert_dot_is_fold(xs, ys)
+        mixed = Element(alg, {keys[0]: 1, keys[1]: 1})
+        with monkeypatch.context() as patch, pytest.raises(AssertionError):
+            patch.setattr(scalars, "_normalized", refuse)
+            mixed._dot([mixed], [alg.one()])
+
+    def test_index_switch_midway(self, H, units):
+        i, j, k = units
+        # i*j = k and (2j)*i = -2k, then (1/3)*(3i) = i switches the index
+        xs = [i, j * 2, H.scalar(Fraction(1, 3)), k]
+        ys = [j * Fraction(1, 5), i, i * 3, H.one()]
+        dot = _assert_dot_is_fold(xs, ys)
+        assert dot == k * Fraction(-4, 5) + i
+        # the running sum has cancelled to zero when the index switches
+        dot = _assert_dot_is_fold([i, j, k], [j, i, H.scalar(Fraction(1, 2))])
+        assert dot == k * Fraction(1, 2)
+        dot = _assert_dot_is_fold([i, j, H.one()], [j, i, i * 4])
+        assert dot == i * 4
+
+    def test_multi_term_operand_first_middle_last(self, H, units):
+        i, j, k = units
+        mixed = H.one() + i * Fraction(1, 2)
+        xs = [i * Fraction(1, 3), j, k * 5, i]
+        ys = [j, i * Fraction(2, 7), H.one(), j * Fraction(3, 11)]
+        for pos in range(4):
+            for side in (0, 1):
+                a, b = list(xs), list(ys)
+                (a if side == 0 else b)[pos] = mixed
+                _assert_dot_is_fold(a, b)
+        _assert_dot_is_fold([mixed], [mixed])
+        _assert_dot_is_fold([mixed, mixed], [i, j])
+
+    def test_vanishing_products_are_skipped(self, EH):
+        t1, t2 = EH.odd_generator(1), EH.odd_generator(2)
+        i, j, k = quaternion_units(EH)
+        # t1 t1 = 0 before, inside and after a one-index run
+        for xs, ys in (([t1, i, j * 3], [t1 * 5, j, i]),
+                       ([i, t1 * Fraction(1, 3), j], [j * Fraction(1, 7), t1, i]),
+                       ([i, j, t2 * i], [j, i * Fraction(2, 9), t2])):
+            _assert_dot_is_fold(xs, ys)
+        zero = _assert_dot_is_fold([t1 * Fraction(1, 3), t2 * i], [t1, i * t2])
+        assert zero._num == {} and zero._den == 1
+        # a vanishing product that would have switched the index does not spill
+        dot = _assert_dot_is_fold([i, t1], [j * Fraction(1, 2), t1 * j])
+        assert dot == k * Fraction(1, 2)
+
+    def test_zero_operands(self, H, units):
+        i, j, _ = units
+        z = H.zero()
+        for xs, ys in (([z, i], [j, j]), ([i, z, j], [j, i, i]), ([i, j], [j, z]),
+                       ([z, z], [i, j])):
+            _assert_dot_is_fold(xs, ys)
+        assert i._dot([z], [i])._num == {} and i._dot([z], [i])._den == 1
+
+    def test_all_cancelling_sums_are_zero_over_one(self, H, units):
+        i, j, k = units
+        for xs, ys in (([i, j], [j, i]),
+                       ([i * Fraction(1, 3), j * Fraction(1, 6)], [j * 2, i * 4]),
+                       ([k * Fraction(5, 12), H.one(), i], [H.one(), k * Fraction(-1, 4),
+                                                           j * Fraction(-1, 6)])):
+            dot = _assert_dot_is_fold(xs, ys)
+            assert dot._num == {} and dot._den == 1
+
+    def test_denominators_near_1e40(self, H, units):
+        i, j, k = units
+        p, q, r = 10 ** 20 + 39, 10 ** 20 + 129, 10 ** 20 + 151
+        xs = [i * Fraction(1, p), j * Fraction(3, q), k * Fraction(-7, p * q),
+              H.scalar(Fraction(5, r))]
+        ys = [j * Fraction(2, q), i * Fraction(1, r), H.scalar(Fraction(p, 3)), k * Fraction(1, p)]
+        dot = _assert_dot_is_fold(xs, ys)
+        assert dot._den > 10 ** 40
+        # the same products in the other order, and an exact cancellation
+        _assert_dot_is_fold(xs[::-1], ys[::-1])
+        zero = _assert_dot_is_fold([i * Fraction(1, p * q), j * Fraction(1, p)],
+                                   [j * Fraction(1, r), i * Fraction(1, q * r)])
+        assert zero._num == {} and zero._den == 1
+
+    def test_mismatch_raises_in_either_mode(self, H, Q, units):
+        i, j, _ = units
+        with pytest.raises(ValueError):
+            i._dot([i, j, i], [j, i, Q.one()])  # one-term mode has started
+        with pytest.raises(ValueError):
+            i._dot([i, H.one() + i, i], [j, i, Q.one()])  # after the spill
+        with pytest.raises(ValueError):
+            i._dot([i, H.zero()], [j, Q.zero()])
+
+    @pytest.mark.parametrize("alg", [quaternions(), extended_quaternions()], ids=["H", "EH"])
+    def test_series_buckets(self, alg):
+        sring = SeriesRing(alg, 4)
+        rng = random.Random(2200 + alg.num_odd)
+        keys = _basis_keys(alg)
+        for _ in range(30):
+            size = rng.randint(1, 4)
+            xs, ys = [], []
+            for _ in range(size):
+                # coefficients of one degree multiply onto one monomial per
+                # bucket only now and then; the kernel must agree either way
+                key = rng.choice(keys)
+                pairs = [_pair_onto(rng, alg, key) for _ in range(4)]
+                xs.append(NilpotentPoly(sring, [a for a, _ in pairs[:rng.randint(1, 4)]]))
+                ys.append(NilpotentPoly(sring, [b for _, b in pairs[:rng.randint(1, 4)]]))
+            fold = functools.reduce(operator.add, (x * y for x, y in zip(xs, ys)))
+            dot = xs[0]._dot(xs, ys)
+            coeffs = [{} for _ in range(4)]
+            for x, y in zip(xs, ys):
+                for a, ca in enumerate(x.coeffs):
+                    for b, cb in enumerate(y.coeffs):
+                        if a + b < 4:
+                            for key, c in _reference_product(ca, cb).items():
+                                coeffs[a + b][key] = coeffs[a + b].get(key, 0) + c
+            assert dot == fold == NilpotentPoly(sring, [Element(alg, c) for c in coeffs])
+            for c in dot.coeffs:
+                _assert_canonical(c)
+
+    def test_combine_one_term(self):
+        rng = random.Random(2300)
+        for alg in ONE_TERM_ALGEBRAS:
+            keys = _basis_keys(alg)
+            for trial in range(40):
+                key = rng.choice(keys)
+                den = 7 if trial % 2 else 10 ** 20 + rng.randint(1, 99)
+                a, b = _coeff(rng, den), _coeff(rng, den)
+                if trial % 5 == 0:
+                    b = a
+                x, y = _term(alg, *key, a), _term(alg, *key, b)
+                for got, want in ((x + y, a + b), (x - y, a - b), (y - x, b - a)):
+                    ref = Element(alg, {key: want})
+                    assert got._num == ref._num and got._den == ref._den
+                    _assert_canonical(got)
+
+
 def _inverts(grid, ring):
     try:
         rm.mat_inverse(grid, ring)
