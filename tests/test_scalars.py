@@ -608,10 +608,6 @@ ONE_TERM_ALGEBRAS = [quaternions(), extended_quaternions(), Algebra(1, 1), Algeb
 ONE_TERM_IDS = ["H", "EH", "Cl11", "Cl03", "G2"]
 
 
-def _term(alg, cl, odd, c):
-    return Element(alg, {(cl, odd): c})
-
-
 def _coeff(rng, den):
     return Fraction(rng.randint(-9, 9) or 1, rng.randint(1, den))
 
@@ -622,8 +618,8 @@ def _pair_onto(rng, alg, key, den=7):
     cl_k, odd_k = key
     t1 = odd_k & rng.randrange(1 << alg.num_odd)
     cl1 = rng.randrange(1 << alg.n)
-    return (_term(alg, cl1, t1, _coeff(rng, den)),
-            _term(alg, cl1 ^ cl_k, odd_k & ~t1, _coeff(rng, den)))
+    return (alg.monomial(cl1, t1, _coeff(rng, den)),
+            alg.monomial(cl1 ^ cl_k, odd_k & ~t1, _coeff(rng, den)))
 
 
 def _run_pairs(rng, alg, length, den):
@@ -648,8 +644,8 @@ def _run_pairs(rng, alg, length, den):
             x, y = (multi, y) if roll < 0.85 else (x, multi)
         elif alg.num_odd:
             t = 1 << rng.randrange(alg.num_odd)
-            x = _term(alg, rng.randrange(1 << alg.n), t, _coeff(rng, den))
-            y = _term(alg, rng.randrange(1 << alg.n), t, _coeff(rng, den))
+            x = alg.monomial(rng.randrange(1 << alg.n), t, _coeff(rng, den))
+            y = alg.monomial(rng.randrange(1 << alg.n), t, _coeff(rng, den))
         else:
             x, y = _pair_onto(rng, alg, rng.choice(keys), den)
         xs.append(x)
@@ -824,7 +820,7 @@ class TestOneTermKernel:
                 a, b = _coeff(rng, den), _coeff(rng, den)
                 if trial % 5 == 0:
                     b = a
-                x, y = _term(alg, *key, a), _term(alg, *key, b)
+                x, y = alg.monomial(*key, a), alg.monomial(*key, b)
                 for got, want in ((x + y, a + b), (x - y, a - b), (y - x, b - a)):
                     ref = Element(alg, {key: want})
                     assert got._num == ref._num and got._den == ref._den
