@@ -9,7 +9,7 @@ from math import lcm
 
 from . import ringmat as rm
 from .errors import NotInvertibleError, RegularityError
-from .matrices import GradedMatrix, matrix_inverse, redivide_2x2, require_homogeneous
+from .matrices import GradedMatrix, RankVector, matrix_inverse, require_homogeneous
 from .determinant import _degree_unit, _sandwich_check, gdet_blocks, gdet_blocks_ldu
 from .scalars import Element
 from .series import NilpotentPoly, SeriesRing, nilpotent_exp
@@ -168,21 +168,30 @@ def gber(X: GradedMatrix):
     odd_sizes = [s for s in X.row_ranks.odd_sizes if s > 0]
     if not odd_sizes:
         return _gdet_either_route(X.grid(), even_sizes, X.ring)
-    r = redivide_2x2(X, "parity")
-    x22 = r.x22.grid()
-    x22_inv = invert0(r.x22).grid()
+    split, odd_ranks = _odd_corner(X.row_ranks)
+    top, bottom = X.entries[:split], X.entries[split:]
+    x22 = [list(row[split:]) for row in bottom]
+    x22_inv = invert0(GradedMatrix(X.ring, odd_ranks, odd_ranks, X.degree, x22)).grid()
     if even_sizes:
         # each entry x - x12_r (x22^-1 x21)_c is one dot of (1, x12_r) with
-        # (x, -(x22^-1 x21)_c), as in block_quasidet
-        neg_cols = list(zip(*rm.mat_mul(rm.mat_neg(x22_inv), r.x21.grid())))
+        # (x, -(x22^-1 x21)_c), as in block_quasidet; zip stops at x11
+        neg_cols = list(zip(*rm.mat_mul(rm.mat_neg(x22_inv), [row[:split] for row in bottom])))
         one = X.ring.one()
-        corner = [[one._dot([one, *lhs], (x, *col)) for x, col in zip(row, neg_cols)]
-                  for row, lhs in zip(r.x11.entries, r.x12.entries)]
+        lhs = [[one, *row[split:]] for row in top]
+        corner = [[one._dot(x12, (x, *col)) for x, col in zip(row, neg_cols)]
+                  for row, x12 in zip(top, lhs)]
         num = _gdet_either_route(corner, even_sizes, X.ring)
     else:
         num = X.ring.one()
     den = _gdet_either_route(x22, odd_sizes, X.ring)
     return num * den.inverse()
+
+
+@lru_cache(maxsize=None)
+def _odd_corner(ranks):
+    """The parity split that cuts the corners from the entries, and x22's ranks."""
+    half = len(ranks.ranks) // 2
+    return ranks.offsets[half], RankVector(ranks.m, (0,) * half + ranks.ranks[half:])
 
 
 def odd_sandwich_check(X: GradedMatrix, Y: GradedMatrix):

@@ -12,12 +12,18 @@ from __future__ import annotations
 
 import hashlib
 import json
+from functools import lru_cache
 from math import gcd
 
-from .errors import HomogeneityError, SchemaError
+from .errors import SchemaError
 from .grading import GroupElement
-from .matrices import GradedMatrix, RankVector, check_homogeneous
+from .matrices import GradedMatrix, RankVector, require_homogeneous
 from .scalars import Algebra, Element, _common_denominator, _normalized
+
+
+# one shared object per descriptor value, so its cached tables are built once
+_algebra = lru_cache(maxsize=64)(Algebra)
+_rank_vector = lru_cache(maxsize=64)(RankVector)
 
 
 def _json_int(value, field):
@@ -54,7 +60,7 @@ def algebra_from_json(obj) -> Algebra:
     try:
         odd = tuple(group_element_from_json(g, p + q + 1)
                     for g in obj.get("odd_degrees", []))
-        return Algebra(p, q, odd)
+        return _algebra(p, q, odd)
     except (ValueError, TypeError) as exc:
         raise SchemaError(f"bad algebra descriptor: {exc}") from exc
 
@@ -76,31 +82,40 @@ def terms_to_json(e: Element):
 
 
 def terms_from_json(obj, alg: Algebra) -> Element:
-    if not isinstance(obj, list):
-        raise SchemaError("scalar must be a term list")
-    # integer numerators over a running least common denominator, normalized
-    # once; repeated monomials add up
-    nums, den = {}, 1
-    for t in obj:
-        if not isinstance(t, dict) or "mask" not in t or "num" not in t or "den" not in t:
-            raise SchemaError('term must carry "mask", "num", "den"')
-        mask = _json_int(t["mask"], "mask")
-        odd = _json_int(t.get("theta", 0), "theta")
-        num, d = _json_int(t["num"], "num"), _json_int(t["den"], "den")
-        if d == 0:
-            raise SchemaError("bad term: zero denominator")
-        if not 0 <= mask < (1 << alg.n):
-            raise SchemaError(f"mask {mask} out of range for {alg.n} generators")
-        if not 0 <= odd < (1 << alg.num_odd):
-            raise SchemaError(f"theta mask {odd} out of range")
-        if d < 0:
-            num, d = -num, -d
-        if d != den:
-            den, scale = _common_denominator(nums, den, d)
-            num *= scale
-        key = mask | (odd << alg.n)
-        nums[key] = nums.get(key, 0) + num
-    return _normalized(alg, nums, den)
+    return _term_reader(alg)(obj)
+
+
+def _term_reader(alg: Algebra):
+    """``terms_from_json`` for one algebra, whose bounds are read once."""
+    n, size, odd_size = alg.n, 1 << alg.n, 1 << alg.num_odd
+
+    def read(obj):
+        if not isinstance(obj, list):
+            raise SchemaError("scalar must be a term list")
+        # integer numerators over a running least common denominator,
+        # normalized once; repeated monomials add up
+        nums, den = {}, 1
+        for t in obj:
+            if not isinstance(t, dict) or "mask" not in t or "num" not in t or "den" not in t:
+                raise SchemaError('term must carry "mask", "num", "den"')
+            mask = _json_int(t["mask"], "mask")
+            odd = _json_int(t.get("theta", 0), "theta")
+            num, d = _json_int(t["num"], "num"), _json_int(t["den"], "den")
+            if d == 0:
+                raise SchemaError("bad term: zero denominator")
+            if not 0 <= mask < size:
+                raise SchemaError(f"mask {mask} out of range for {n} generators")
+            if not 0 <= odd < odd_size:
+                raise SchemaError(f"theta mask {odd} out of range")
+            if d < 0:
+                num, d = -num, -d
+            if d != den:
+                den, scale = _common_denominator(nums, den, d)
+                num *= scale
+            key = mask | (odd << n)
+            nums[key] = nums.get(key, 0) + num
+        return _normalized(alg, nums, den)
+    return read
 
 
 def element_to_json(e: Element):
@@ -118,9 +133,9 @@ def ranks_from_json(obj, m: int) -> RankVector:
     if not isinstance(obj, list) or not all(_json_int(r, "ranks") >= 0 for r in obj):
         raise SchemaError("ranks must be an array of nonnegative integers")
     if len(obj) == 1 << m:
-        return RankVector(m, obj)
+        return _rank_vector(m, tuple(obj))
     if len(obj) == 1 << (m - 1):
-        return RankVector.from_even_half(m, obj)
+        return _rank_vector(m, (*obj, *[0] * len(obj)))
     raise SchemaError(
         f"ranks must list {1 << m} blocks or the {1 << (m - 1)} even ones")
 
@@ -149,10 +164,10 @@ def matrix_from_json(obj) -> GradedMatrix:
     if not isinstance(rows, list) or len(rows) != n or any(
             not isinstance(r, list) or len(r) != n for r in rows):
         raise SchemaError(f"entries must form an {n}x{n} grid of term lists")
-    grid = [[terms_from_json(v, alg) for v in row] for row in rows]
+    read = _term_reader(alg)
+    grid = [[read(v) for v in row] for row in rows]
     X = GradedMatrix(alg, ranks, ranks, degree, grid)
-    if not check_homogeneous(X):
-        raise HomogeneityError("matrix violates the block degree law")
+    require_homogeneous(X)
     return X
 
 

@@ -150,6 +150,10 @@ class GradedMatrix:
     def is_zero(self) -> bool:
         return rm.is_zero_grid(self.grid())
 
+    @cached_property
+    def _homogeneous(self) -> bool:
+        return _degree_law_holds(self)
+
     def __str__(self):
         body = "\n".join("  [" + ", ".join(str(x) for x in row) + "]" for row in self.entries)
         return f"GradedMatrix(degree={self.degree}, ranks={self.row_ranks.ranks})\n{body}"
@@ -212,11 +216,13 @@ def unitriangular_g(alpha: int, beta: int, lam, ranks: RankVector, ring=None) ->
 
 
 def check_homogeneous(X: GradedMatrix) -> bool:
-    """True iff every entry is zero or homogeneous of its block-law degree.
+    """True iff every entry is zero or homogeneous of its block-law degree;
+    the verdict is cached on the frozen matrix, so each is checked once."""
+    return X._homogeneous
 
-    An Element entry is checked in one pass over its basis indices against
-    its algebra's degree table; other entries go through ``degree()``.
-    """
+
+def _degree_law_holds(X: GradedMatrix) -> bool:
+    # one pass over each Element's basis indices; other entries use degree()
     m = X.degree.m
     alg = degrees = None
     # w_r + w_c + degree as masks, since (Z2)^m adds by XOR; the weights are

@@ -8,11 +8,11 @@ entry, so the scalar ring accumulates the whole sum exactly and normalizes
 once.  Exact elimination shares one pivot search, the first entry at or
 below the diagonal that is nonzero and whose ``inverse()`` succeeds,
 mirroring the formal regime in which all needed inverses are assumed to
-exist.  ``mat_inverse`` runs Gauss-Jordan with it and serves every block
-operation in the package.  One forward-elimination loop serves the other
-two entry points: ``is_nonsingular`` answers whether ``mat_inverse`` would
-succeed, and ``commutative_det`` multiplies the pivots it finds and hands
-the block left at the first column without one to Berkowitz's algorithm.
+exist.  ``mat_inverse`` runs Gauss-Jordan in place, on the pivots it would
+meet on [A | I], and serves every block operation.  One forward-elimination
+loop serves the other two: ``is_nonsingular`` answers whether ``mat_inverse``
+would succeed, and ``commutative_det`` multiplies the pivots it finds and
+hands the block left at the first column without one to Berkowitz.
 Every row update goes through ``_axpy``, which forms each entry x - f*y as
 the two-pair dot 1*x + (-f)*y, so the scalar ring normalizes it once
 instead of after the product and again after the difference.
@@ -115,33 +115,41 @@ def _pivot(a, col):
 
 
 def mat_inverse(grid, ring):
-    """Exact inverse by row elimination with invertible-pivot search.
+    """Exact inverse by Gauss-Jordan in place, with invertible-pivot search.
 
     Raises NotInvertibleError when some column offers no invertible pivot;
     over a division-ring scalar this happens exactly for singular input.
+
+    Step k swaps rows (P_k) and left-multiplies by L_k, the identity but in
+    column k: piv_inv on the diagonal, -f piv_inv off it.  Input column k
+    becomes e_k, so L_k's column k, the inverse's, is stored there.  Columns
+    not yet eliminated take the same row operations as on [A | I], so the
+    pivot search meets the same candidates.  The grid ends as A^-1 P_1...P_n:
+    all row work is left multiplication, so by associativity over any ring
+    the swaps, undone as column swaps in reverse order, leave A^-1.
     """
     n = len(grid)
     if any(len(row) != n for row in grid):
         raise ValueError("matrix must be square")
-    a = copy_grid(grid)
-    inv = identity(ring, n)
+    a, swaps, zero = copy_grid(grid), [], ring.zero()
     for col in range(n):
         piv_row, piv_inv = _pivot(a, col)
         if piv_row != col:
             a[col], a[piv_row] = a[piv_row], a[col]
-            inv[col], inv[piv_row] = inv[piv_row], inv[col]
-        a[col] = [piv_inv * x for x in a[col]]
-        inv[col] = [piv_inv * x for x in inv[col]]
-        for r in range(n):
-            if r == col:
+            swaps.append((col, piv_row))
+        # the pivot entry becomes piv_inv, the diagonal of column col of L_k
+        pivot = a[col] = [piv_inv if c == col else piv_inv * x for c, x in enumerate(a[col])]
+        for r, row in enumerate(a):
+            f = row[col]
+            if r == col or f.is_zero:
                 continue
-            f = a[r][col]
-            if f.is_zero:
-                continue
-            nf = -f
-            a[r] = _axpy(a[r], nf, a[col])
-            inv[r] = _axpy(inv[r], nf, inv[col])
-    return inv
+            # with row[col] read as zero, the update writes -f * piv_inv there
+            row[col] = zero
+            a[r] = _axpy(row, -f, pivot)
+    for col, p in reversed(swaps):
+        for row in a:
+            row[col], row[p] = row[p], row[col]
+    return a
 
 
 def _forward_eliminate(grid):
@@ -236,13 +244,15 @@ def commutative_det(grid, ring):
     triangular matrix [[T, *], [0, B]] with T upper triangular on the pivots
     and det X = (-1)^swaps * prod(pivots) * det B.  It divides only by units,
     so it is exact in any commutative ring, nilpotent entries included.
-    Below 3 x 3 Berkowitz is the closed form a or ad - bc and needs no
-    inverse, so it runs alone.
+    Below 3 x 3 no inverse is formed: 2 x 2 is the one dot a d + b (-c),
+    and a smaller grid goes to Berkowitz.
     """
     n = len(grid)
     if any(len(row) != n for row in grid):
         raise ValueError("matrix must be square")
-    if n < 3:
+    if n == 2:
+        return grid[0][0]._dot(grid[0], (grid[1][1], -grid[1][0]))
+    if n < 2:
         return _berkowitz(grid, ring)
     pivots, swaps, rest = _forward_eliminate(grid)
     if rest:

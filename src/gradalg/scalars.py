@@ -294,10 +294,10 @@ class RingElement:
         nil = self - core
         if nil.is_zero:
             return core_inv
-        u = core_inv * nil
-        acc = power = self._one()
+        acc, power = self._one(), None
+        neg_u = -(core_inv * nil)
         for _ in range(steps):
-            power = power * (-u)
+            power = neg_u if power is None else power * neg_u
             if power.is_zero:
                 break
             acc = acc + power

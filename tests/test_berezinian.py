@@ -557,7 +557,7 @@ class TestGberAxioms:
             raise AssertionError("purely even input redivided")
         X = random_invertible(rng, H, rank_even((1, 1, 2, 1)))
         want = gdet0(X)
-        monkeypatch.setattr(berezinian, "redivide_2x2", refuse)
+        monkeypatch.setattr(berezinian, "_odd_corner", refuse)
         assert gber(X) == want
 
     def test_schur_corner_matches_product_then_difference(self, EH, rng):

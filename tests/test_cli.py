@@ -488,3 +488,77 @@ class TestCheckCommand:
         main(["check", "--property", "udl", "--trials", "1", "--seed", "5"])
         raw = capsys.readouterr().out
         assert raw == canonical_json(json.loads(raw)) + "\n"
+
+
+class TestEachInputOnce:
+    """A CLI input is parsed into shared descriptors and checked against the
+    degree law once, however many routines ask for the verdict."""
+
+    @staticmethod
+    def _law_calls(monkeypatch):
+        from gradalg import matrices
+        calls, law = [], matrices._degree_law_holds
+
+        def spy(X):
+            calls.append(X.shape)
+            return law(X)
+        monkeypatch.setattr(matrices, "_degree_law_holds", spy)
+        return calls
+
+    @staticmethod
+    def _write(tmp_path, X):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(matrix_to_json(X)))
+        return str(path)
+
+    @pytest.mark.parametrize("argv, ranks", [
+        (["gber"], (1, 0, 0, 0, 1, 0, 0, 0)),
+        (["gber"], (1, 1, 1, 1, 1, 1, 0, 0)),
+        (["gber"], (1, 1, 0, 0, 0, 0, 0, 0)),
+        (["gdet"], (1, 1, 1, 1, 0, 0, 0, 0)),
+        (["gdet", "--route", "ldu"], (2, 1, 0, 0, 0, 0, 0, 0))])
+    def test_degree_law_evaluated_once(self, argv, ranks, tmp_path, EH, monkeypatch, capsys):
+        from gradalg import RankVector, RegularityError, gber
+        from gradalg.randgen import random_invertible
+        rng = random.Random(7)
+        while True:
+            X = random_invertible(rng, EH, RankVector(3, ranks))
+            try:
+                gber(X)
+                break
+            except RegularityError:
+                continue
+        path = self._write(tmp_path, X)
+        calls = self._law_calls(monkeypatch)
+        assert main([*argv, "--input", path]) == 0
+        assert calls == [X.shape]
+        assert json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("command", ["gber", "gdet"])
+    def test_inhomogeneous_input_exits_3(self, command, tmp_path, H, units, capsys):
+        i, _, _ = units
+        rk = rank_even((1, 1, 1, 1))
+        grid = identity_matrix(H, rk).grid()
+        grid[1][1] = i
+        path = self._write(tmp_path, GradedMatrix(H, rk, rk, GroupElement.zero(3), grid))
+        assert main([command, "--input", path]) == 3
+        assert "homogeneity error" in capsys.readouterr().err
+
+    def test_hand_built_matrix_refused_every_time(self, H, units):
+        from gradalg import HomogeneityError, gber, gdet0
+        i, _, _ = units
+        rk = rank_even((1, 1, 0, 0))
+        grid = identity_matrix(H, rk).grid()
+        grid[1][1] = i
+        X = GradedMatrix(H, rk, rk, GroupElement.zero(3), grid)
+        for compute in (gber, gdet0, gber):
+            with pytest.raises(HomogeneityError):
+                compute(X)
+
+    def test_descriptors_shared_between_parses(self, H):
+        obj = matrix_to_json(identity_matrix(H, rank_even((1, 1, 1, 1))))
+        X, Y = matrix_from_json(obj), matrix_from_json(json.loads(json.dumps(obj)))
+        assert X.ring is Y.ring and X.row_ranks is Y.row_ranks
+        # the even half names the same rank vector as the full list
+        obj["ranks"] = [1, 1, 1, 1]
+        assert matrix_from_json(obj).row_ranks is X.row_ranks
