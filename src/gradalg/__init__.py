@@ -7,8 +7,8 @@ determinant for cross-validation.  All arithmetic is exact over Q.
 """
 
 from .errors import (DimensionNotAdmissibleError, GradAlgError, HomogeneityError,
-                     NotInvertibleError, OracleSamplingError, RegularityError,
-                     SchemaError, SubmatrixNotInvertibleError)
+                     NotInvertibleError, RegularityError, SchemaError,
+                     SubmatrixNotInvertibleError)
 from .grading import GroupElement, StandardOrder, parity_split, scalar_product, standard_order
 from .scalars import (Algebra, Element, extended_quaternions, grassmann,
                       quaternion, quaternion_units, quaternions, rationals)

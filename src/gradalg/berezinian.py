@@ -10,7 +10,8 @@ from math import lcm
 from . import ringmat as rm
 from .errors import NotInvertibleError, RegularityError
 from .matrices import GradedMatrix, RankVector, matrix_inverse, require_homogeneous
-from .determinant import _degree_unit, _sandwich_check, gdet_blocks, gdet_blocks_ldu
+from .determinant import (_degree_unit, _sandwich_check, _unit_conjugate, gdet_blocks,
+                          gdet_blocks_ldu)
 from .scalars import Element
 from .series import NilpotentPoly, SeriesRing, nilpotent_exp
 from .trace import gtr
@@ -52,10 +53,9 @@ def is_invertible0(X: GradedMatrix) -> bool:
     That elimination is decided on integers.  Every even degree d is carried
     by exactly one blade b_d, so in a corner with weights w_i the residue of
     a homogeneous entry reads c_ij b_(w_i + w_j) with c_ij rational: the
-    degree law.  Let q_i be the degree unit of w_i + w_ref, w_ref the
-    corner's first weight (``determinant._degree_unit``).  Then
-    q_i b_(w_i + w_j) q_j^-1 has degree 0, so it is a sign S_ij = +-1, and
-    the residue R satisfies Q R Q^-1 = S o C for Q = diag(q_i).  Follow the
+    degree law.  Conjugation by the corner's degree units Q = diag(q_i)
+    (``determinant._unit_conjugate``) takes each blade to a degree-0 sign
+    S_ij = +-1, so the residue R satisfies Q R Q^-1 = S o C.  Follow the
     elimination on R with A_rc = q_pi(r) a_rc q_c^-1, where pi tracks the
     row swaps, so A starts as S o C.  While A is rational, every nonzero
     a_rc = q_pi(r)^-1 A_rc q_c is a unit, so ``_pivot`` takes the first
@@ -105,14 +105,12 @@ def _corner_laws(alg, ranks):
 
 def _degree_law(alg, weights):
     try:
-        units = [_degree_unit(alg, w + weights[0]) for w in weights]
         blades = [[_degree_unit(alg, wi + wj) for wj in weights] for wi in weights]
+        signs = _unit_conjugate(alg, weights, blades)
     except ValueError:
         return None
-    # q^2 = +-1 for a blade q, so q^-1 = q^3 and no inverse is formed
-    return tuple(tuple((next(iter(b._num)), int((qi * b * qj ** 3).scalar_part()))
-                       for b, qj in zip(row, units))
-                 for row, qi in zip(blades, units))
+    return tuple(tuple((next(iter(b._num)), int(s.scalar_part())) for b, s in zip(brow, srow))
+                 for brow, srow in zip(blades, signs))
 
 
 def _signed_row(entries, row_law):

@@ -1,7 +1,8 @@
 """The graded determinant of purely even matrices: the product of classical
 determinants of principal quasiminors, its LDU mirror, the extension to
-nonzero degree, row reduction helpers, and the interpolation oracle that
-recovers permutation coefficients of the multilinear expansion."""
+nonzero degree, row reduction helpers, and the permutation coefficients of
+the multilinear expansion in closed form, through conjugation by degree
+units."""
 
 from __future__ import annotations
 
@@ -9,11 +10,9 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import ringmat as rm
-from .errors import (DimensionNotAdmissibleError, GradAlgError, HomogeneityError,
-                     OracleSamplingError)
+from .errors import DimensionNotAdmissibleError, HomogeneityError
 from .grading import GroupElement
 from .matrices import (GradedMatrix, mat_mul, redivide_2x2, require_homogeneous,
                        scalar_mul, unitriangular_g)
@@ -134,6 +133,29 @@ def _degree_unit(alg, degree: GroupElement):
     return blade
 
 
+def _unit_conjugate(alg, weights, grid):
+    """Q X Q^-1 for Q = diag(q_i), q_i the degree unit of w_i + w_1 and w_i
+    the weights of X's rows.  Entry (i, j) of X has degree w_i + w_j, so
+    that of Y = Q X Q^-1 has degree 0; the shift by w_1 keeps every q_i even
+    also for odd weights.  A blade q has q^2 = +-1, so q^-1 = q^3.
+
+    For purely even X of degree 0, gdet(X) = det(Y):
+    1. |D X D^-1|_ij = d_i |X|_ij d_j^-1 for diagonal D, blockwise too
+       (Gelfand, Gelfand, Retakh and Wilson, Adv. Math. 193, 2005), so the
+       UDL chain of Y is defined exactly where that of X is.
+    2. Q is the scalar q_k on block k, and each quasiminor of the chain has
+       degree-0 entries, which are central: Y's quasiminors are X's.
+    3. Y lies over the commutative degree-0 part, where the product of the
+       Schur-complement determinants is det(Y).
+    4. Both sides are polynomials in the entries (arXiv:1109.5877) that agree
+       on the nonempty Zariski-open set where the UDL chain is defined.
+    """
+    units = [_degree_unit(alg, w + weights[0]) for w in weights]
+    inverses = [q ** 3 for q in units]
+    return [[qi * x * qj_inv for x, qj_inv in zip(row, inverses)]
+            for row, qi in zip(grid, units)]
+
+
 def row_reduce_g(X: GradedMatrix, alpha: int, beta: int, lam) -> GradedMatrix:
     """G_{alpha beta}(lam) X: adds lam times row beta to row alpha from the
     left; the graded determinant is unchanged."""
@@ -170,79 +192,35 @@ def _is_elementary(M: GradedMatrix) -> bool:
     return sum(1 for row in M.entries for v in row if not v.is_zero) <= 1
 
 
-# -- multilinear coefficient oracle ---------------------------------------------
-
-_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
-           67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137,
-           139, 149, 151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199)
+# -- multilinear coefficients ---------------------------------------------------
 
 MAX_ORACLE_DIMENSION = 5
-# Shifted generic fills the oracle tries per permutation.
-ORACLE_FILLS = 8
 
 
 def multilinear_coefficients(pattern: GradedMatrix) -> dict:
     """Coefficient c_sigma of every permutation monomial of gdet over a
-    pattern of basis scalars.
-
-    Writing x_{i sigma(i)} = t_{i sigma(i)} u_{i sigma(i)} with the pattern
-    entries u, the determinant is a polynomial sum_sigma c_sigma prod_i
-    t_{i sigma(i)}.  Each c_sigma is recovered by evaluating the determinant
-    at t = indicator(sigma) + eps * fill for |r|+1 rational eps values and
-    interpolating to eps = 0, which is sound because the determinant is
-    multilinear per row.  Undefined samples trigger a shifted generic fill.
-    A permutation through a zero pattern entry has coefficient 0 unsampled.
+    pattern of basis scalars u: gdet(t_ij u_ij) over rational t is
+    sum_sigma c_sigma prod_i t_{i sigma(i)}.  By gdet(X) = det(Q X Q^-1)
+    (``_unit_conjugate``) and Leibniz's formula,
+    c_sigma = sgn(sigma) prod_i q_i u_{i sigma(i)} q_{sigma(i)}^-1, whose
+    degree-0 factors commute.  A permutation through a zero entry gives 0
+    and forms no product.
     """
-    grid, sizes = _gdet_input(pattern)
+    grid, _ = _gdet_input(pattern)
     n = len(grid)
     if n > MAX_ORACLE_DIMENSION:
         raise ValueError(f"oracle patterns are limited to |r| <= {MAX_ORACLE_DIMENSION}")
-    for row in grid:
-        for v in row:
-            if len(v.terms) > 1:
-                raise ValueError("pattern entries must be basis monomials or zero")
+    if any(len(v.terms) > 1 for row in grid for v in row):
+        raise ValueError("pattern entries must be basis monomials or zero")
+    ring = pattern.ring
+    conj = _unit_conjugate(ring, pattern.row_ranks.weights, grid)
     out = {}
     for sigma in itertools.permutations(range(n)):
-        out[sigma] = _interpolated_coefficient(grid, sizes, pattern.ring, sigma)
+        factors = [conj[r][c] for r, c in enumerate(sigma)]
+        sign = (-1) ** sum(a > b for a, b in itertools.combinations(sigma, 2))
+        out[sigma] = (ring.zero() if any(f.is_zero for f in factors)
+                      else math.prod(factors, start=ring.scalar(sign)))
     return out
-
-
-def _interpolated_coefficient(grid, sizes, ring, sigma):
-    n = len(grid)
-    if any(grid[r][c].is_zero for r, c in enumerate(sigma)):
-        # the monomial carries a zero pattern entry, so it cannot occur
-        return ring.zero()
-    npoints = n + 1
-    for attempt in range(ORACLE_FILLS):
-        fill = [[_PRIMES[(r * n + c + attempt) % len(_PRIMES)] for c in range(n)]
-                for r in range(n)]
-        samples = []
-        eps = 0
-        while len(samples) < npoints and eps < 4 * npoints:
-            eps += 1
-            e = Fraction(eps)
-            trial = [[grid[r][c] * (Fraction(1 if sigma[r] == c else 0) + e * fill[r][c])
-                      for c in range(n)] for r in range(n)]
-            try:
-                val = gdet_blocks(trial, sizes, ring).value
-            except GradAlgError:
-                continue
-            samples.append((e, val))
-        if len(samples) >= npoints:
-            return _lagrange_at_zero(samples[:npoints], ring)
-    raise OracleSamplingError(
-        f"could not collect {npoints} defined samples for permutation {sigma}")
-
-
-def _lagrange_at_zero(samples, ring):
-    total = ring.zero()
-    for t, (et, vt) in enumerate(samples):
-        weight = Fraction(1)
-        for s, (es, _) in enumerate(samples):
-            if s != t:
-                weight *= (-es) / (et - es)
-        total = total + vt * weight
-    return total
 
 
 def row_monomial_product(pattern: GradedMatrix, sigma) -> object:
@@ -256,16 +234,23 @@ def row_monomial_product(pattern: GradedMatrix, sigma) -> object:
 
 
 def normalized_coefficients(pattern: GradedMatrix) -> dict:
-    """Coefficients on the row-ordered products of the pattern monomials:
-    c_sigma scaled by the inverse of the monomial product.  For patterns whose
-    permutation products are invertible this is the sign table of the abstract
-    expansion over a free graded-commutative realization."""
-    coeffs = multilinear_coefficients(pattern)
+    """Coefficients on the row-ordered products rho_sigma of the pattern
+    monomials: the rational s_sigma with c_sigma = rho_sigma s_sigma, and 0
+    where rho_sigma is 0.  Where the products are invertible this is the
+    sign table of the abstract expansion over a free graded-commutative
+    realization.  Basis monomials commute up to sign and each q_i meets its
+    inverse once in c_sigma, so c_sigma and rho_sigma lie on one basis
+    monomial: s_sigma is c_sigma rho_sigma^-1 where rho_sigma is invertible
+    and stays defined where it is nilpotent, as through a theta_1 theta_2
+    entry.
+    """
+    ring = pattern.ring
     out = {}
-    for sigma, c in coeffs.items():
+    for sigma, c in multilinear_coefficients(pattern).items():
         rho = row_monomial_product(pattern, sigma)
         if rho.is_zero:
-            out[sigma] = pattern.ring.zero()
+            out[sigma] = ring.zero()
         else:
-            out[sigma] = c * rho.inverse()
+            (key, r), = rho.terms.items()
+            out[sigma] = ring.scalar(c.terms[key] / r)
     return out

@@ -33,9 +33,5 @@ class HomogeneityError(GradAlgError):
     """An operation required a homogeneous scalar or matrix."""
 
 
-class OracleSamplingError(GradAlgError):
-    """The interpolation oracle exhausted its sample retries."""
-
-
 class SchemaError(GradAlgError):
     """JSON input does not match the documented schemas."""

@@ -272,6 +272,29 @@ class TestSubcommands:
         capsys.readouterr()
         assert len(calls) == 1
 
+    def test_gdet_coeffs_normalized_on_nilpotent_row_product(self, tmp_path, EH, capsys):
+        # extended H at (2,1,0,0) with theta_1 theta_2 entries: the row product
+        # of (1, 2, 0) is 1 (-i) (-theta_1 theta_2), nilpotent but not zero
+        i, _, _ = quaternion_units(EH)
+        one, zero, t12 = EH.one(), EH.zero(), EH.monomial(0, 3)
+        rk = rank_even((2, 1, 0, 0))
+        pattern = GradedMatrix(EH, rk, rk, GroupElement.zero(3),
+                               [[one, one, -t12], [zero, zero, -i], [-t12, -i, -one]])
+        path = tmp_path / "theta.json"
+        path.write_text(json.dumps(matrix_to_json(pattern)))
+        got = {}
+        for flag in ([], ["--normalized"]):
+            assert main(["gdet-coeffs", "--pattern", str(path)] + flag) == 0
+            out = json.loads(capsys.readouterr().out)
+            got[bool(flag)] = {tuple(row["perm"]): row["coeff"]["terms"]
+                               for row in out["coefficients"]}
+        i_theta = [{"den": 1, "mask": 2, "num": 1, "theta": 3}]
+        assert got[False] == {(0, 1, 2): [], (0, 2, 1): [{"den": 1, "mask": 0, "num": 1}],
+                              (1, 0, 2): [], (1, 2, 0): i_theta, (2, 0, 1): [], (2, 1, 0): []}
+        assert got[True] == {(0, 1, 2): [], (0, 2, 1): [{"den": 1, "mask": 0, "num": -1}],
+                             (1, 0, 2): [], (1, 2, 0): [{"den": 1, "mask": 0, "num": 1}],
+                             (2, 0, 1): [], (2, 1, 0): []}
+
     def test_gber_over_extension_ring(self, tmp_path, EH, capsys):
         from gradalg import RankVector
         from gradalg.randgen import random_invertible

@@ -1,23 +1,27 @@
 """Graded determinant: the two quasiminor routes, the characterizing axioms,
 the nonzero-degree extension with its dimension condition, row reduction, and
-the interpolation oracle against the frozen coefficient tables."""
+the closed-form coefficient tables against the frozen ones, the interpolation
+reference and the expansion of gdet."""
 
 import itertools
+import math
+import random
 import warnings
 from fractions import Fraction
 
 import pytest
 
-from gradalg import (Algebra, DimensionNotAdmissibleError, GradedMatrix, GroupElement,
-                     NilpotentPoly, NotInvertibleError, SeriesRing, block_quasidet,
-                     extended_quaternions, grassmann,
-                     HomogeneityError, RankVector, RegularityError,
+from gradalg import (Algebra, DimensionNotAdmissibleError, GradAlgError, GradedMatrix,
+                     GroupElement, NilpotentPoly, NotInvertibleError, SeriesRing,
+                     block_quasidet, extended_quaternions, gdet_blocks, grassmann,
+                     quaternions, HomogeneityError, RankVector, RegularityError,
                      elementary_sandwich_check, gdet0,
                      gdet_certified, gdet_graded, gdet_ldu, identity_matrix,
                      mat_mul, multilinear_coefficients, normalized_coefficients,
                      ldu_decompose, row_monomial_product, row_reduce_g,
                      scalar_mul, udl_decompose, unitriangular_g)
 from gradalg import ringmat as rm
+from gradalg.determinant import _degree_unit, _unit_conjugate
 from gradalg.randgen import random_invertible, random_matrix
 
 from conftest import random_quaternion, random_rational
@@ -728,3 +732,183 @@ class TestCoefficientOracle:
         rk = rank_even((2, 2, 1, 1))
         with pytest.raises(ValueError):
             multilinear_coefficients(identity_matrix(H, rk))
+
+
+# -- the interpolation oracle of earlier releases, kept as the reference --------
+
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
+           67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137,
+           139, 149, 151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199)
+
+# Shifted generic fills the oracle tries per permutation.
+ORACLE_FILLS = 8
+
+
+def _interpolated_coefficient(grid, sizes, ring, sigma):
+    """c_sigma from gdet at t = indicator(sigma) + eps * fill for |r|+1
+    rational eps, interpolated to eps = 0; None when no fill gives enough
+    defined samples."""
+    n = len(grid)
+    if any(grid[r][c].is_zero for r, c in enumerate(sigma)):
+        # the monomial carries a zero pattern entry, so it cannot occur
+        return ring.zero()
+    npoints = n + 1
+    for attempt in range(ORACLE_FILLS):
+        fill = [[_PRIMES[(r * n + c + attempt) % len(_PRIMES)] for c in range(n)]
+                for r in range(n)]
+        samples = []
+        eps = 0
+        while len(samples) < npoints and eps < 4 * npoints:
+            eps += 1
+            e = Fraction(eps)
+            trial = [[grid[r][c] * (Fraction(1 if sigma[r] == c else 0) + e * fill[r][c])
+                      for c in range(n)] for r in range(n)]
+            try:
+                val = gdet_blocks(trial, sizes, ring).value
+            except GradAlgError:
+                continue
+            samples.append((e, val))
+        if len(samples) >= npoints:
+            return _lagrange_at_zero(samples[:npoints], ring)
+    return None
+
+
+def _lagrange_at_zero(samples, ring):
+    total = ring.zero()
+    for t, (et, vt) in enumerate(samples):
+        weight = Fraction(1)
+        for s, (es, _) in enumerate(samples):
+            if s != t:
+                weight *= (-es) / (et - es)
+        total = total + vt * weight
+    return total
+
+
+def interpolated_table(pattern):
+    """The reference table, or None when interpolation refuses a permutation."""
+    grid, sizes = pattern.grid(), pattern.row_ranks.even_sizes
+    table = {}
+    for sigma in itertools.permutations(range(len(grid))):
+        table[sigma] = _interpolated_coefficient(grid, sizes, pattern.ring, sigma)
+        if table[sigma] is None:
+            return None
+    return table
+
+
+def expansion_checks(pattern, coeffs, rng, fills=4):
+    """Compare sum_sigma c_sigma prod_i t_{i sigma(i)} with gdet0 and gdet_ldu
+    at rational fills t; returns how many evaluations a route answered."""
+    n = pattern.shape[0]
+    done = 0
+    for _ in range(fills):
+        t = [[random_rational(rng, -4, 4) for _ in range(n)] for _ in range(n)]
+        X = pattern.with_entries([[u * tc for u, tc in zip(row, trow)]
+                                  for row, trow in zip(pattern.entries, t)])
+        total = pattern.ring.zero()
+        for sigma, c in coeffs.items():
+            total = total + c * math.prod(t[r][cc] for r, cc in enumerate(sigma))
+        for route in (gdet0, gdet_ldu):
+            try:
+                value = route(X)
+            except GradAlgError:
+                continue
+            assert value == total
+            done += 1
+    return done
+
+
+COEFF_SWEEPS = [
+    ("H-1111", quaternions(), rank_even((1, 1, 1, 1))),
+    ("H-0211", quaternions(), rank_even((0, 2, 1, 1))),
+    ("EH-1111", extended_quaternions(), rank_even((1, 1, 1, 1))),
+    ("EH-2100", extended_quaternions(), rank_even((2, 1, 0, 0))),
+    ("Cl11-1111", Algebra(1, 1), rank_even((1, 1, 1, 1))),
+    ("Cl03-1101", Algebra(0, 3), RankVector.from_even_half(4, (1, 1, 0, 1, 0, 0, 1, 0))),
+    ("GR2-4", grassmann(2), RankVector.from_even_half(1, (4,))),
+]
+
+
+class TestClosedFormCoefficients:
+    """c_sigma = sgn(sigma) prod_i q_i u_{i sigma(i)} q_{sigma(i)}^-1 against
+    the interpolation reference, the expansion of gdet, and Q X Q^-1."""
+
+    @pytest.mark.parametrize("alg, rk", [s[1:] for s in COEFF_SWEEPS],
+                             ids=[s[0] for s in COEFF_SWEEPS])
+    def test_agrees_with_interpolation_and_expansion(self, alg, rk):
+        rng = random.Random(24)
+        answered = refused = checked = 0
+        for _ in range(30):
+            pattern = random_matrix(rng, alg, rk, bound=1)
+            coeffs = multilinear_coefficients(pattern)
+            want = interpolated_table(pattern)
+            if want is not None:
+                assert coeffs == want
+                answered += 1
+            else:
+                refused += 1
+                checked += expansion_checks(pattern, coeffs, rng) > 0
+        assert answered
+        # a refused pattern is checked where some fill has a regular chain
+        assert checked or not refused
+
+    def test_anti_diagonal_pattern(self, H, units):
+        # every fill of [[0, i], [i, 0]] has zero diagonal entries, so no
+        # quasiminor chain is regular and interpolation refuses (1, 0)
+        i, _, _ = units
+        rk = rank_even((1, 1, 0, 0))
+        pattern = GradedMatrix(H, rk, rk, ZERO3, [[H.zero(), i], [i, H.zero()]])
+        assert interpolated_table(pattern) is None
+        assert multilinear_coefficients(pattern) == {(0, 1): H.zero(), (1, 0): H.one()}
+        # normalized by the row product i i = -1
+        assert normalized_coefficients(pattern) == {(0, 1): H.zero(), (1, 0): H.scalar(-1)}
+
+    def test_normalized_on_nilpotent_row_products(self, EH):
+        rng = random.Random(5)
+        nilpotent = 0
+        for _ in range(30):
+            pattern = random_matrix(rng, EH, rank_even((2, 1, 0, 0)), bound=1)
+            coeffs = multilinear_coefficients(pattern)
+            for sigma, s in normalized_coefficients(pattern).items():
+                assert s.is_rational()
+                rho = row_monomial_product(pattern, sigma)
+                assert coeffs[sigma] == rho * s
+                if not rho.is_zero and rho.strip_odd().is_zero:
+                    nilpotent += 1
+                elif not rho.is_zero:
+                    assert s == coeffs[sigma] * rho.inverse()
+        assert nilpotent
+
+    @pytest.mark.parametrize("alg, rk", [
+        (quaternions(), rank_even((1, 1, 1, 1))),
+        (quaternions(), rank_even((0, 1, 2, 1))),
+        (extended_quaternions(), rank_even((0, 1, 1, 2))),
+        (Algebra(1, 1), rank_even((0, 2, 1, 1))),
+        (Algebra(0, 3), RankVector.from_even_half(4, (0, 1, 0, 1, 1, 0, 1, 0))),
+        # odd weights only, as in the odd corner of gber
+        (extended_quaternions(), RankVector(3, (0, 0, 0, 0, 0, 1, 2, 1))),
+    ], ids=["H-1111", "H-0121", "EH-0112", "Cl11-0211", "Cl03", "EH-odd"])
+    def test_unit_conjugate_is_q_x_q_inverse(self, alg, rk):
+        X = random_matrix(random.Random(7), alg, rk)
+        w = rk.weights
+        units = [_degree_unit(alg, wi + w[0]) for wi in w]
+        Y = _unit_conjugate(alg, w, X.grid())
+        for yrow, xrow, qi in zip(Y, X.entries, units):
+            for y, x, qj in zip(yrow, xrow, units):
+                assert y * qj == qi * x
+                assert y.is_zero or y.degree().is_zero
+
+    def test_zero_entries_form_no_products(self, H, monkeypatch):
+        # every permutation of the zero pattern runs through a zero entry
+        from gradalg import Element, zero_matrix
+        pattern = zero_matrix(H, rank_even((2, 1, 1, 1)))
+        calls, mul = [], Element.__mul__
+
+        def counted(a, b):
+            calls.append(1)
+            return mul(a, b)
+
+        monkeypatch.setattr(Element, "__mul__", counted)
+        coeffs = multilinear_coefficients(pattern)
+        assert len(coeffs) == 120
+        assert all(c.is_zero for c in coeffs.values())
+        assert len(calls) < len(coeffs)
