@@ -29,7 +29,8 @@ def _gdet_either_route(grid, sizes, ring):
 
 def is_invertible0(X: GradedMatrix) -> bool:
     """True iff both parity-diagonal blocks are invertible modulo the odd
-    ideal, which characterizes invertibility of a degree-0 matrix.
+    ideal, which characterizes invertibility of a degree-0 matrix; X must be
+    homogeneous (``HomogeneityError`` otherwise), as on the domain of ``gber``.
 
     Each corner is reduced entrywise to its residue (``RingElement.residue``:
     zeta -> 0 on a series, then mod the odd ideal).  Forward elimination on
@@ -65,9 +66,7 @@ def is_invertible0(X: GradedMatrix) -> bool:
     finds a pivot in every column iff S o C is nonsingular over Q.  Scaling
     each row by a positive integer that clears its denominators keeps that,
     and ``ringmat.bareiss_nonsingular`` decides it on Python ints, forming
-    no scalar inverse or product.  A corner with an entry off the law (several
-    residue terms, or the wrong blade) is eliminated over its residues by
-    ``ringmat.is_nonsingular``.
+    no scalar inverse or product.
 
     The two corners are cut straight from the entries at the parity split,
     and the smaller one is tested first.  The answer is the conjunction of
@@ -77,16 +76,17 @@ def is_invertible0(X: GradedMatrix) -> bool:
     4x4 even corner 48%).
     """
     _require_degree0(X)
+    require_homogeneous(X)
+    return _corners_invertible(X)
+
+
+def _corners_invertible(X: GradedMatrix) -> bool:
+    """``is_invertible0`` on a square degree-0 matrix known to be homogeneous."""
     rows = X.entries
-    return all(_corner_nonsingular([row[lo:hi] for row in rows[lo:hi]], law)
+    return all(law is not None
+               and rm.bareiss_nonsingular([_signed_row(row[lo:hi], r_law)
+                                           for row, r_law in zip(rows[lo:hi], law)])
                for lo, hi, law in _corner_laws(getattr(X.ring, "base", X.ring), X.row_ranks))
-
-
-def _corner_nonsingular(corner, law) -> bool:
-    ints = None if law is None else [_signed_row(row, r_law) for row, r_law in zip(corner, law)]
-    if ints is None or None in ints:
-        return rm.is_nonsingular([[v.residue() for v in row] for row in corner])
-    return rm.bareiss_nonsingular(ints)
 
 
 @lru_cache(maxsize=None)
@@ -94,7 +94,9 @@ def _corner_laws(alg, ranks):
     """(lo, hi, law) for the two parity corners, the smaller first.  law[i][j]
     is (k, S_ij): the basis index k of the blade b_(w_i + w_j) and the sign
     q_i b_k q_j^-1 of ``is_invertible0``; law is None when the algebra has
-    no degree unit for the corner's weights."""
+    no degree unit for the corner's weights.  That happens only when the
+    ranks' arity is not the algebra's, where a homogeneous corner is all
+    zero, so singular: an empty corner always has a law."""
     n = ranks.total
     split = ranks.offsets[len(ranks.ranks) // 2]
     # the reduced matrix is block diagonal; eliminating on the full grid
@@ -114,26 +116,18 @@ def _degree_law(alg, weights):
 
 
 def _signed_row(entries, row_law):
-    """One row of S o C cleared of denominators, or None when an entry's
-    residue is not a multiple of its blade.
+    """One row of S o C cleared of denominators.
 
-    An Element's residue is its terms below index 2^n over its own
-    denominator, read here from ``_num`` without building the residue; that
-    fraction need not be reduced, which scales the row by a positive
-    rational and keeps its singularity."""
+    The residue of a homogeneous entry is c b_k for the blade index k of its
+    law, and odd terms sit at indices 2^n and up, so c is an Element's
+    numerator at k over its own denominator, read from ``_num`` without
+    building the residue; that fraction need not be reduced, which scales
+    the row by a positive rational and keeps its singularity."""
     nums, dens = [], []
     for v, (k, sign) in zip(entries, row_law):
         if not isinstance(v, Element):
             v = v.residue()
-        num = v._num
-        c = num.get(k, 0)
-        # numerators are never 0, so the law holds iff num is {} or {k: c}
-        # once the odd terms (indices 2^n and up) are left out
-        if len(num) != (c != 0):
-            size = 1 << v.algebra.n
-            if any(i != k and i < size for i in num):
-                return None
-        nums.append(sign * c)
+        nums.append(sign * v._num.get(k, 0))
         dens.append(v._den)
     den = lcm(*dens)
     return nums if den == 1 else [c * (den // d) for c, d in zip(nums, dens)]
@@ -144,8 +138,9 @@ def invert0(X: GradedMatrix) -> GradedMatrix:
 
     The residue map is a ring homomorphism and an entry is invertible exactly
     when its residue is, so elimination picks the same pivots on X as on its
-    residue and succeeds exactly when is_invertible0 holds; the nilpotent lift
-    happens inside each pivot's inverse().
+    residue; on homogeneous X it succeeds exactly when is_invertible0 holds.
+    The degree law is not checked here.  The nilpotent lift happens inside
+    each pivot's inverse().
     """
     _require_degree0(X)
     return matrix_inverse(X)
@@ -158,8 +153,6 @@ def gber(X: GradedMatrix):
     units of the commutative degree-0 scalars; on purely even matrices it
     degenerates to the graded determinant.
     """
-    _require_degree0(X)
-    require_homogeneous(X)
     if not is_invertible0(X):
         raise NotInvertibleError("graded Berezinian needs an invertible matrix")
     even_sizes = [s for s in X.row_ranks.even_sizes if s > 0]

@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass
 
 from . import ringmat as rm
-from .errors import DimensionNotAdmissibleError, HomogeneityError
+from .errors import DimensionNotAdmissibleError, SchemaError
 from .grading import GroupElement
 from .matrices import (GradedMatrix, mat_mul, redivide_2x2, require_homogeneous,
                        scalar_mul, unitriangular_g)
@@ -159,11 +159,6 @@ def _unit_conjugate(alg, weights, grid):
 def row_reduce_g(X: GradedMatrix, alpha: int, beta: int, lam) -> GradedMatrix:
     """G_{alpha beta}(lam) X: adds lam times row beta to row alpha from the
     left; the graded determinant is unchanged."""
-    if alpha == beta:
-        raise ValueError("row reduction needs alpha != beta")
-    w = X.row_ranks.weight(alpha) + X.row_ranks.weight(beta)
-    if not lam.is_zero and lam.degree() != w:
-        raise HomogeneityError("reduction scalar must have degree w_alpha + w_beta")
     g = unitriangular_g(alpha, beta, lam, X.row_ranks, X.ring)
     return mat_mul(g, X)
 
@@ -194,24 +189,22 @@ def _is_elementary(M: GradedMatrix) -> bool:
 
 # -- multilinear coefficients ---------------------------------------------------
 
-MAX_ORACLE_DIMENSION = 5
+MAX_PATTERN_DIMENSION = 5
 
 
 def multilinear_coefficients(pattern: GradedMatrix) -> dict:
     """Coefficient c_sigma of every permutation monomial of gdet over a
-    pattern of basis scalars u: gdet(t_ij u_ij) over rational t is
+    homogeneous pattern u: gdet(t_ij u_ij) over rational t is
     sum_sigma c_sigma prod_i t_{i sigma(i)}.  By gdet(X) = det(Q X Q^-1)
     (``_unit_conjugate``) and Leibniz's formula,
     c_sigma = sgn(sigma) prod_i q_i u_{i sigma(i)} q_{sigma(i)}^-1, whose
-    degree-0 factors commute.  A permutation through a zero entry gives 0
-    and forms no product.
+    degree-0 factors commute, whether an entry has one term or several.  A
+    permutation through a zero entry gives 0 and forms no product.
     """
     grid, _ = _gdet_input(pattern)
     n = len(grid)
-    if n > MAX_ORACLE_DIMENSION:
-        raise ValueError(f"oracle patterns are limited to |r| <= {MAX_ORACLE_DIMENSION}")
-    if any(len(v.terms) > 1 for row in grid for v in row):
-        raise ValueError("pattern entries must be basis monomials or zero")
+    if n > MAX_PATTERN_DIMENSION:
+        raise ValueError(f"patterns are limited to |r| <= {MAX_PATTERN_DIMENSION}")
     ring = pattern.ring
     conj = _unit_conjugate(ring, pattern.row_ranks.weights, grid)
     out = {}
@@ -242,11 +235,14 @@ def normalized_coefficients(pattern: GradedMatrix) -> dict:
     inverse once in c_sigma, so c_sigma and rho_sigma lie on one basis
     monomial: s_sigma is c_sigma rho_sigma^-1 where rho_sigma is invertible
     and stays defined where it is nilpotent, as through a theta_1 theta_2
-    entry.
+    entry.  A pattern entry with several terms is a ``SchemaError``.
     """
+    table = multilinear_coefficients(pattern)
+    if any(len(v.terms) > 1 for row in pattern.entries for v in row):
+        raise SchemaError("normalized coefficients need basis monomials or zeros")
     ring = pattern.ring
     out = {}
-    for sigma, c in multilinear_coefficients(pattern).items():
+    for sigma, c in table.items():
         rho = row_monomial_product(pattern, sigma)
         if rho.is_zero:
             out[sigma] = ring.zero()

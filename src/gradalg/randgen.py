@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
-from .berezinian import is_invertible0
+from .berezinian import _corners_invertible
 from .determinant import _degree_unit
 from .errors import GradAlgError
 from .grading import GroupElement
@@ -73,7 +73,8 @@ def random_invertible(rng: random.Random, alg: Algebra, ranks: RankVector) -> Gr
     """A random invertible degree-0 matrix, by rejection."""
     for _ in range(MAX_DRAWS):
         X = random_matrix(rng, alg, ranks)
-        if is_invertible0(X):
+        # a draw is degree-0 and on the degree law by construction
+        if _corners_invertible(X):
             return X
     raise GradAlgError("could not sample an invertible matrix")
 

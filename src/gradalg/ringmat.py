@@ -9,10 +9,9 @@ once.  Exact elimination shares one pivot search, the first entry at or
 below the diagonal that is nonzero and whose ``inverse()`` succeeds,
 mirroring the formal regime in which all needed inverses are assumed to
 exist.  ``mat_inverse`` runs Gauss-Jordan in place, on the pivots it would
-meet on [A | I], and serves every block operation.  One forward-elimination
-loop serves the other two: ``is_nonsingular`` answers whether ``mat_inverse``
-would succeed, and ``commutative_det`` multiplies the pivots it finds and
-hands the block left at the first column without one to Berkowitz.
+meet on [A | I], and serves every block operation.  ``commutative_det``
+eliminates forward on the same pivot search, multiplies the pivots it finds
+and hands the block left at the first column without one to Berkowitz.
 Every row update goes through ``_axpy``, which forms each entry x - f*y as
 the two-pair dot 1*x + (-f)*y, so the scalar ring normalizes it once
 instead of after the product and again after the difference.
@@ -152,51 +151,6 @@ def mat_inverse(grid, ring):
     return a
 
 
-def _forward_eliminate(grid):
-    """Forward elimination on the pivots of ``_pivot`` until a column offers
-    none: (pivots, swaps, rest) with the pivot entries in column order, the
-    number of row swaps, and the trailing block left at the first column
-    without a pivot, empty when every column has one.
-
-    No identity is carried and no pivot row is scaled: each step updates the
-    rows below the pivot right of its column with f = a[r][col] * piv_inv,
-    and -piv_inv is formed once per column that has rows below it.  By
-    associativity f * a[col][c] is the a[r][col] * (piv_inv * a[col][c]) of
-    Gauss-Jordan, so every column meets the same candidates as in
-    ``mat_inverse`` and picks the same pivot.
-    """
-    n = len(grid)
-    if any(len(row) != n for row in grid):
-        raise ValueError("matrix must be square")
-    a = copy_grid(grid)
-    pivots, swaps = [], 0
-    for col in range(n):
-        try:
-            piv_row, piv_inv = _pivot(a, col)
-        except NotInvertibleError:
-            break
-        if piv_row != col:
-            a[col], a[piv_row] = a[piv_row], a[col]
-            swaps += 1
-        pivot = a[col]
-        pivots.append(pivot[col])
-        if col + 1 == n:
-            break
-        neg_inv, tail = -piv_inv, pivot[col + 1:]
-        for row in a[col + 1:]:
-            if not row[col].is_zero:
-                # entries left of col + 1 are never read again
-                row[col + 1:] = _axpy(row[col + 1:], row[col] * neg_inv, tail)
-    k = len(pivots)
-    return pivots, swaps, [row[k:] for row in a[k:]]
-
-
-def is_nonsingular(grid) -> bool:
-    """True exactly when ``mat_inverse(grid, ring)`` returns: forward
-    elimination finds a pivot in every column."""
-    return not _forward_eliminate(grid)[2]
-
-
 def bareiss_nonsingular(rows) -> bool:
     """True exactly when the square matrix of Python ints ``rows`` is
     nonsingular over Q, by Bareiss's fraction-free elimination (Math. Comp.
@@ -254,9 +208,26 @@ def commutative_det(grid, ring):
         return grid[0][0]._dot(grid[0], (grid[1][1], -grid[1][0]))
     if n < 2:
         return _berkowitz(grid, ring)
-    pivots, swaps, rest = _forward_eliminate(grid)
-    if rest:
-        pivots.append(_berkowitz(rest, ring))
+    a = copy_grid(grid)
+    pivots, swaps = [], 0
+    for col in range(n):
+        try:
+            piv_row, piv_inv = _pivot(a, col)
+        except NotInvertibleError:
+            pivots.append(_berkowitz([row[col:] for row in a[col:]], ring))
+            break
+        if piv_row != col:
+            a[col], a[piv_row] = a[piv_row], a[col]
+            swaps += 1
+        pivot = a[col]
+        pivots.append(pivot[col])
+        if col + 1 == n:
+            break
+        neg_inv, tail = -piv_inv, pivot[col + 1:]
+        for row in a[col + 1:]:
+            if not row[col].is_zero:
+                # entries left of col + 1 are never read again
+                row[col + 1:] = _axpy(row[col + 1:], row[col] * neg_inv, tail)
     det = math.prod(pivots[1:], start=pivots[0])
     return -det if swaps & 1 else det
 

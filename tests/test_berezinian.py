@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from gradalg import (GradedMatrix, GroupElement, NilpotentPoly,
+from gradalg import (GradedMatrix, GroupElement, HomogeneityError, NilpotentPoly,
                      NotInvertibleError, RankVector, RegularityError, SeriesRing,
                      gber, gdet0, gtr, identity_matrix, invert0, is_invertible0,
                      liouville_check, mat_add, mat_mul, matrix_exp_zeta,
@@ -144,6 +144,15 @@ class TestInvertibility:
         assert check_homogeneous(invert0(X))
 
 
+def inverts(grid, ring):
+    """Whether mat_inverse returns: the definition is_invertible0 answers."""
+    try:
+        rm.mat_inverse(grid, ring)
+    except NotInvertibleError:
+        return False
+    return True
+
+
 def series_corner_answer(X):
     """is_invertible0 by elimination over the series entries themselves, each
     coefficient reduced mod the odd ideal: the test before the residue map."""
@@ -152,7 +161,7 @@ def series_corner_answer(X):
             return NilpotentPoly(v.ring, (c.strip_odd() for c in v.coeffs))
         return v.strip_odd()
     r = redivide_2x2(X, "parity")
-    return all(rm.is_nonsingular([[strip(v) for v in row] for row in corner.entries])
+    return all(inverts([[strip(v) for v in row] for row in corner.entries], X.ring)
                for corner in (r.x11, r.x22))
 
 
@@ -261,7 +270,8 @@ def redivided_answer(X):
     """is_invertible0 before its corners were sliced from the entries: the
     residues of redivide_2x2's x11 and then x22."""
     r = redivide_2x2(X, "parity")
-    return all(rm.is_nonsingular([[v.residue() for v in row] for row in corner.entries])
+    base = getattr(X.ring, "base", X.ring)
+    return all(inverts([[v.residue() for v in row] for row in corner.entries], base)
                for corner in (r.x11, r.x22))
 
 
@@ -294,9 +304,9 @@ class TestSlicedCorners:
 
 
 class TestIntegerCorners:
-    """A corner whose residue obeys the degree law is decided by Bareiss on
-    the signed rational image S o C; the answer must be the residue
-    elimination's, and any other corner goes through that elimination."""
+    """Each corner of a homogeneous matrix is decided by Bareiss on the
+    signed rational image S o C; the answer must be the residue
+    elimination's, and input off the degree law is refused."""
 
     @pytest.mark.parametrize("alg_name, ranks", [
         ("H", (1, 1, 2, 1, 0, 0, 0, 0)),
@@ -376,36 +386,44 @@ class TestIntegerCorners:
         assert [len(rows) for rows in kernel_calls] == [0, 3, 0, 3]
         assert kernel_calls[3][2] == [-14, 5, -35]
 
-    def test_off_law_corner_uses_residue_elimination(self, H, units, monkeypatch):
+    def test_off_law_corner_is_refused(self, H, units):
         i, j, _ = units
         one = H.one()
         rk = rank_even((2, 0, 0, 0))
-        calls = []
-        eliminate = rm.is_nonsingular
-
-        def counted(grid):
-            calls.append(len(grid))
-            return eliminate(grid)
-        monkeypatch.setattr(rm, "is_nonsingular", counted)
         # 1 + i has two terms; i sits where the law wants a rational
         for grid in ([[one + i, one], [one, one - i]], [[one + i, one + i], [one, one]],
                      [[i, H.zero()], [H.zero(), one]], [[i, j], [j * i, one]]):
             X = GradedMatrix(H, rk, rk, GroupElement.zero(3), grid)
-            calls.clear()
-            got = is_invertible0(X)
-            assert calls == [2]
-            calls.clear()
-            assert got is redivided_answer(X)
+            with pytest.raises(HomogeneityError):
+                is_invertible0(X)
         X = GradedMatrix(H, rk, rk, GroupElement.zero(3), [[one, one], [one, -one]])
-        calls.clear()
         assert is_invertible0(X) is True
-        assert calls == []
-        # ranks of another arity than H's give no degree units, hence no law
+        # ranks of another arity than H's give no degree law for any Element
         rk1 = RankVector(1, (2, 0))
         X = GradedMatrix(H, rk1, rk1, GroupElement.zero(1), [[one, i], [i, one]])
-        calls.clear()
-        assert is_invertible0(X) is True
-        assert calls == [2]
+        with pytest.raises(HomogeneityError):
+            is_invertible0(X)
+
+    def test_refused_where_invert0_answers(self, EH):
+        # the odd corner's weight puts odd degrees off the diagonal, where 1
+        # breaks the law; invert0 does not check the law and swaps the rows
+        rk = RankVector(3, (1, 0, 0, 0, 1, 0, 0, 0))
+        z, one = EH.zero(), EH.one()
+        X = GradedMatrix(EH, rk, rk, GroupElement.zero(3), [[z, one], [one, z]])
+        assert rm.grids_equal(invert0(X).grid(), X.grid())
+        with pytest.raises(HomogeneityError):
+            is_invertible0(X)
+
+    @pytest.mark.parametrize("ranks, want", [
+        ((2, 0), False), ((0, 1), False), ((1, 1), False), ((0, 0), True)])
+    def test_zero_matrix_of_another_arity(self, H, ranks, want):
+        # H has arity 3, so these ranks give no degree law and only the zero
+        # matrix is homogeneous; it is singular unless it is 0x0
+        rk = RankVector(1, ranks)
+        n = rk.total
+        X = GradedMatrix(H, rk, rk, GroupElement.zero(1), [[H.zero()] * n for _ in range(n)])
+        assert is_invertible0(X) is want
+        assert inverts(X.grid(), H) is want
 
     def test_law_abiding_corner_forms_no_scalar_work(self, H, EH, monkeypatch):
         import random
@@ -419,11 +437,10 @@ class TestIntegerCorners:
         assert {want for _, want in cases} == {True, False}
 
         def refuse(*args):
-            raise AssertionError("scalar inverse, product or residue elimination formed")
+            raise AssertionError("scalar inverse or product formed")
         berezinian._corner_laws.cache_clear()
         monkeypatch.setattr(Element, "inverse", refuse)
         monkeypatch.setattr(Element, "_dot", refuse)
-        monkeypatch.setattr(rm, "is_nonsingular", refuse)
         for X, want in cases:
             assert is_invertible0(X) is want
 
@@ -437,7 +454,6 @@ class TestIntegerCorners:
         assert berezinian._signed_row([one * Fraction(3, 4) + t1 * t2 * Fraction(5, 6)],
                                       law) == [9]
         assert berezinian._signed_row([t1 * t2 * 5], law) == [0]
-        assert berezinian._signed_row([one + i + t1 * t2], law) is None
         assert berezinian._signed_row([i * t1 * t2], law) == [0]
         # the same rows up to positive scaling as the residues give
         rng = random.Random(2004)

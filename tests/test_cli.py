@@ -295,6 +295,22 @@ class TestSubcommands:
                              (1, 0, 2): [], (1, 2, 0): [{"den": 1, "mask": 0, "num": 1}],
                              (2, 0, 1): [], (2, 1, 0): []}
 
+    def test_gdet_coeffs_multi_term_pattern(self, tmp_path, capsys):
+        # the 1x1 extended-H pattern 1 + i theta_1 theta_2: its coefficient
+        # is the entry itself, and the normalization has no single monomial
+        # to divide out, a schema violation
+        entry = [{"den": 1, "mask": 0, "num": 1}, {"den": 1, "mask": 2, "num": 1, "theta": 3}]
+        path = tmp_path / "multi.json"
+        path.write_text(json.dumps({
+            "algebra": {"odd_degrees": [[0, 0, 1], [0, 1, 0]], "p": 0, "q": 2},
+            "degree": [0, 0, 0], "entries": [[entry]], "ranks": [1, 0, 0, 0, 0, 0, 0, 0]}))
+        assert main(["gdet-coeffs", "--pattern", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            '{"coefficients":[{"coeff":{"terms":[{"den":1,"mask":0,"num":1},'
+            '{"den":1,"mask":2,"num":1,"theta":3}]},"perm":[0]}],"normalized":false}\n')
+        assert main(["gdet-coeffs", "--pattern", str(path), "--normalized"]) == 2
+        assert "basis monomials" in capsys.readouterr().err
+
     def test_gber_over_extension_ring(self, tmp_path, EH, capsys):
         from gradalg import RankVector
         from gradalg.randgen import random_invertible

@@ -17,7 +17,7 @@ from gradalg import (Algebra, DimensionNotAdmissibleError, GradAlgError, GradedM
                      quaternions, HomogeneityError, RankVector, RegularityError,
                      elementary_sandwich_check, gdet0,
                      gdet_certified, gdet_graded, gdet_ldu, identity_matrix,
-                     mat_mul, multilinear_coefficients, normalized_coefficients,
+                     mat_add, mat_mul, multilinear_coefficients, SchemaError, normalized_coefficients,
                      ldu_decompose, row_monomial_product, row_reduce_g,
                      scalar_mul, udl_decompose, unitriangular_g)
 from gradalg import ringmat as rm
@@ -861,6 +861,23 @@ class TestClosedFormCoefficients:
         assert multilinear_coefficients(pattern) == {(0, 1): H.zero(), (1, 0): H.one()}
         # normalized by the row product i i = -1
         assert normalized_coefficients(pattern) == {(0, 1): H.zero(), (1, 0): H.scalar(-1)}
+
+    @pytest.mark.parametrize("ranks", [(2, 1, 0, 0), (1, 1, 1, 0), (1, 1, 1, 1)])
+    def test_multi_term_patterns(self, EH, ranks):
+        # a sum of two draws has entries with several terms of one degree;
+        # the closed form holds for them, the normalization needs monomials
+        rng = random.Random(31)
+        rk = rank_even(ranks)
+        multi = checked = 0
+        for _ in range(20):
+            pattern = mat_add(random_matrix(rng, EH, rk, bound=1),
+                              random_matrix(rng, EH, rk, bound=1))
+            checked += expansion_checks(pattern, multilinear_coefficients(pattern), rng)
+            if any(len(v.terms) > 1 for row in pattern.entries for v in row):
+                multi += 1
+                with pytest.raises(SchemaError):
+                    normalized_coefficients(pattern)
+        assert multi >= 10 and checked >= 10
 
     def test_normalized_on_nilpotent_row_products(self, EH):
         rng = random.Random(5)
